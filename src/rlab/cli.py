@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__, bounds, exact, mc, verify
 from .errors import ConfigurationError, DomainError, InfeasibleError
-from .sequences import (StepSequenceSpec, generate, read_sequence_file,
-                        recurrence_event_window, write_sequence_file)
+from .sequences import (StepSequenceSpec, generate, parse_json_object,
+                        read_sequence_file, recurrence_event_window,
+                        write_sequence_file)
 
 
 def _json_default(obj):
@@ -41,9 +42,13 @@ def _json_default(obj):
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        Path(tmp).unlink(missing_ok=True)
+        raise ConfigurationError(f"cannot write report {path}: {exc}") from exc
 
 
 def _manifest(command: str, inputs: dict, output_path: str | None) -> dict:
@@ -124,7 +129,8 @@ def _load_steps(args, n=None):
 def cmd_gen(args) -> int:
     if not Path(args.spec).exists():
         raise ConfigurationError(f"spec file not found: {args.spec}")
-    spec = StepSequenceSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    spec = StepSequenceSpec.from_dict(
+        parse_json_object(Path(args.spec).read_text(), args.spec, "sequence spec"))
     steps = generate(spec, args.n)
     if args.out:
         write_sequence_file(args.out, steps)
@@ -139,6 +145,9 @@ def cmd_dist(args) -> int:
     inputs = {"seq": args.seq, "n": args.n, "q": args.q, "mod": args.mod,
               "exact": bool(args.exact)}
     if args.mod:
+        if args.exact:
+            raise ConfigurationError(
+                "--exact is not supported with --mod (residue laws are float)")
         mod = exact.modular_walk_pmf(steps, args.mod)
         result = {"kind": "modular_dist", "modulus": mod.modulus,
                   "steps_applied": len(steps), "probs": mod.probs.tolist()}
@@ -221,7 +230,7 @@ def cmd_bounds(args) -> int:
 def _load_manifest(path: str) -> mc.McRunManifest:
     if not Path(path).exists():
         raise ConfigurationError(f"manifest file not found: {path}")
-    data = json.loads(Path(path).read_text())
+    data = parse_json_object(Path(path).read_text(), path, "manifest")
     if "manifest" in data and "result" in data:  # replaying a persisted report
         data = data["result"].get("mc_manifest")
         if data is None:

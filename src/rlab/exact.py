@@ -1,12 +1,17 @@
 """Exact laws of signed sums of integer steps, on Z and on Z/mZ.
 
-The walk law is built by sparse self-convolution, one step at a time: the
-support is kept as a sorted array and each step merges two shifted copies.
-Supports that form an arithmetic progression (the common case after a few
-steps) take a slicing fast path with no searches.
+The walk law is built one step at a time by a single lattice kernel. After
+steps summing to S the position lies on the lattice -S + 2g*Z, g being the gcd
+of the nonzero steps, so a step a adds the law to a copy of itself shifted by
+a/g lattice slots. While at least DENSE_FILL of the window [-S, S] is reached
+and the window fits the atom cap, the law is a dense weight array with a reach
+mask and a step is two shifted slice-adds; otherwise it is the sorted array of
+reached slots and a step merges the two shifted copies. The form is chosen
+again at every step from the fill it will have.
 
-A rational mode (probabilities k / 2**n with exact integer numerators) backs
-the enumeration oracles; it is limited to 40 nonzero steps.
+Float mode halves the weights at every step. Rational mode (probabilities
+k / 2**n with exact integer numerators) runs the same kernel on int64 sign
+counts; it backs the enumeration oracles and is limited to 40 nonzero steps.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import ConfigurationError, DomainError, InfeasibleError
 DEFAULT_SUPPORT_CAP = 1 << 26
 SUPPORT_CAP_ENV = "RLAB_SUPPORT_CAP"
 EXACT_MODE_MAX_STEPS = 40
+DENSE_FILL = 1 / 8  # least share of the window reached for the dense form
 _INT64_GUARD = 1 << 62
 
 
@@ -119,45 +125,85 @@ def walk_pmf(steps, exact: bool = False, cap: int | None = None) -> ExactPMF:
     """
     int_steps = _as_int_steps(steps)
     limit = support_cap(cap)
-    if exact:
-        return _walk_pmf_exact(int_steps, limit)
-    return _walk_pmf_float(int_steps, limit)
-
-
-def _walk_pmf_float(int_steps, limit) -> ExactPMF:
-    support = np.zeros(1, dtype=np.int64)
-    probs = np.ones(1, dtype=np.float64)
-    for idx, a in enumerate(int_steps, 1):
-        if a == 0:
-            continue
-        support, probs = _float_step(support, probs, a, idx, limit)
-    return ExactPMF(support, probs, steps_applied=len(int_steps), exact=False)
-
-
-def _walk_pmf_exact(int_steps, limit) -> ExactPMF:
     nonzero = sum(1 for a in int_steps if a)
-    if nonzero > EXACT_MODE_MAX_STEPS:
+    if exact and nonzero > EXACT_MODE_MAX_STEPS:
         raise ConfigurationError(
             f"rational mode supports at most {EXACT_MODE_MAX_STEPS} nonzero steps "
             f"(got {nonzero})")
-    weights = {0: 1}
-    applied = 0
+    support, probs = _lattice_law(int_steps, limit, exact)
+    if exact:
+        denom = 2**nonzero
+        probs = [Fraction(c, denom) for c in probs.tolist()]
+    return ExactPMF(support, probs, steps_applied=len(int_steps), exact=exact)
+
+
+def _lattice_law(int_steps, limit, exact=False, on_step=None):
+    """The walk law as (support values, weights), built one step at a time.
+
+    Slot k holds the value 2*g*k - S. The dense form keeps a `reach` mask and
+    weights over the whole window, the sparse form the sorted reached `slots`
+    and their weights. In both, each atom's weight is 0 + h(v - a) + h(v + a),
+    h being the halved weights (float) or the sign counts (exact), and the
+    cap is checked on the projected atom count before weights are allocated.
+    `on_step` sees the weights after every step, zero steps included.
+    """
+    g = math.gcd(*int_steps) or 1
+    total, count = 0, 1
+    reach, slots = np.ones(1, dtype=bool), None
+    weights = np.ones(1, dtype=np.int64 if exact else np.float64)
     for idx, a in enumerate(int_steps, 1):
-        if a == 0:
-            continue
-        applied += 1
-        merged: dict[int, int] = {}
-        for v, c in weights.items():
-            merged[v - a] = merged.get(v - a, 0) + c
-            merged[v + a] = merged.get(v + a, 0) + c
-        if len(merged) > limit:
-            raise InfeasibleError(
-                f"step {idx}: projected support {len(merged)} exceeds cap {limit}")
-        weights = merged
-    denom = 2**applied
-    support = sorted(weights)
-    probs = [Fraction(weights[v], denom) for v in support]
-    return ExactPMF(support, probs, steps_applied=len(int_steps), exact=True)
+        if a:
+            total += a
+            # rational support values are built as Python ints from the slots
+            if (total // g if exact else total) >= _INT64_GUARD:
+                raise InfeasibleError(
+                    f"step {idx}: support values would overflow 64-bit integers")
+            s, width = a // g, total // g + 1
+            if reach is not None:
+                overlap = np.count_nonzero(reach[s:] & reach[:max(reach.size - s, 0)])
+            else:
+                hi = slots + s
+                pos = np.minimum(np.searchsorted(slots, hi), slots.size - 1)
+                overlap = np.count_nonzero(slots[pos] == hi)
+            count = 2 * count - int(overlap)
+            if count > limit:
+                raise InfeasibleError(
+                    f"step {idx}: projected support {count} exceeds cap {limit}")
+            dense = width <= limit and count >= DENSE_FILL * width
+            if dense and reach is None:
+                reach = np.zeros(width - s, dtype=bool)
+                reach[slots] = True
+                full = np.zeros(width - s, dtype=weights.dtype)
+                full[slots] = weights
+                weights = full
+            elif not dense and reach is not None:
+                slots = np.flatnonzero(reach)
+                weights, reach = weights[slots], None
+            if not exact:
+                weights *= 0.5
+            if dense:
+                low, high, size = slice(0, width - s), slice(s, width), width
+                mask = np.zeros(width, dtype=bool)
+                mask[low] = reach
+                mask[high] |= reach
+                reach = mask
+            else:
+                hi = slots + s
+                merged = np.union1d(slots, hi)
+                low, high = np.searchsorted(merged, slots), np.searchsorted(merged, hi)
+                slots, size = merged, merged.size
+            grown = np.zeros(size, dtype=weights.dtype)
+            grown[low] = weights
+            grown[high] += weights
+            weights = grown
+        if on_step is not None:
+            on_step(weights)
+    if reach is not None:
+        slots = np.flatnonzero(reach)
+        weights = weights[slots]
+    if exact:
+        return [2 * g * k - total for k in slots.tolist()], weights
+    return slots * (2 * g) - total, weights
 
 
 def pmf_from_atoms(atoms: dict, exact: bool = False, tol: float = 1e-9) -> ExactPMF:
@@ -236,55 +282,9 @@ def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
 def q1_profile(steps, cap: int | None = None) -> list[float]:
     """Max point mass of the walk law after each prefix of `steps` (float mode)."""
     int_steps = _as_int_steps(steps)
-    limit = support_cap(cap)
-    out = []
-    support = np.zeros(1, dtype=np.int64)
-    probs = np.ones(1, dtype=np.float64)
-    for idx, a in enumerate(int_steps, 1):
-        if a != 0:
-            support, probs = _float_step(support, probs, a, idx, limit)
-        out.append(float(np.max(probs)))
+    out: list[float] = []
+    _lattice_law(int_steps, support_cap(cap), on_step=lambda w: out.append(float(w.max())))
     return out
-
-
-def _float_step(support, probs, a, idx, limit):
-    """One sparse convolution step: merge the two copies shifted by -a and +a."""
-    if abs(int(support[0])) + a >= _INT64_GUARD or abs(int(support[-1])) + a >= _INT64_GUARD:
-        raise InfeasibleError(f"step {idx}: support values would overflow 64-bit integers")
-    size = support.size
-    if size == 1:
-        return (np.array([support[0] - a, support[0] + a], dtype=np.int64),
-                np.full(2, 0.5 * probs[0]))
-    gap = int(support[1] - support[0])
-    # arithmetic-progression support: when the shifted copies overlap (no
-    # interior holes) their union is the same progression, widened
-    if ((2 * a) % gap == 0 and (2 * a) // gap <= size
-            and bool(np.all(np.diff(support) == gap))):
-        shift = (2 * a) // gap
-        projected = size + shift
-        if projected > limit:
-            raise InfeasibleError(
-                f"step {idx}: projected support {projected} exceeds cap {limit}")
-        new_support = np.arange(support[0] - a, support[-1] + a + 1, gap, dtype=np.int64)
-        new_probs = np.zeros(projected, dtype=np.float64)
-        half = 0.5 * probs
-        new_probs[:size] += half
-        new_probs[shift:shift + size] += half
-        return new_support, new_probs
-    lo = support - a
-    hi = support + a
-    pos = np.searchsorted(lo, hi)
-    inside = pos < size
-    overlap = int(np.count_nonzero(inside & (lo[np.minimum(pos, size - 1)] == hi)))
-    projected = 2 * size - overlap
-    if projected > limit:
-        raise InfeasibleError(f"step {idx}: projected support {projected} exceeds cap {limit}")
-    new_support = np.union1d(lo, hi)
-    new_probs = np.zeros(new_support.size, dtype=np.float64)
-    half = 0.5 * probs
-    new_probs[np.searchsorted(new_support, lo)] += half
-    new_probs[np.searchsorted(new_support, hi)] += half
-    return new_support, new_probs
 
 
 def modular_walk_pmf(steps, m: int, method: str = "cyclic") -> ModularPMF:

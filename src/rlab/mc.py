@@ -60,6 +60,11 @@ class McRunManifest:
         missing = needed - set(data)
         if missing:
             raise ConfigurationError(f"manifest is missing keys: {sorted(missing)}")
+        for key in ("master_seed", "replicates", "horizon"):
+            value = data[key]
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(
+                    f"manifest {key} must be an integer, not {value!r}")
         return cls(
             master_seed=int(data["master_seed"]),
             replicates=int(data["replicates"]),

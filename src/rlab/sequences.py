@@ -726,12 +726,23 @@ def check_sparse_conditions(counts: SequenceCounts, epsilon: float,
     return SparseConditionReport(epsilon, harmonic, witnesses, all_hold)
 
 
+def parse_json_object(text: str, path, what: str) -> dict:
+    """Parse a JSON object read from `path`; anything else is a ConfigurationError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: malformed JSON {what}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: the {what} must be a JSON object")
+    return data
+
+
 def read_sequence_file(path, n: int | None = None) -> list:
     """Load steps from a file: newline-delimited decimals, or a JSON spec object."""
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        spec = StepSequenceSpec.from_dict(json.loads(text))
+        spec = StepSequenceSpec.from_dict(parse_json_object(text, path, "sequence spec"))
         if n is None:
             raise ConfigurationError("a JSON sequence spec needs an explicit length n")
         return generate(spec, n)
@@ -741,10 +752,15 @@ def read_sequence_file(path, n: int | None = None) -> list:
         if not line:
             continue
         try:
-            v = float(line)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{idx}: cannot parse step {line!r}") from exc
-        values.append(int(v) if v.is_integer() else v)
+            v = int(line)  # integers exactly, whatever their size
+        except ValueError:
+            try:
+                v = float(line)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{idx}: cannot parse step {line!r}") from exc
+            v = int(v) if v.is_integer() else v
+        values.append(v)
     if n is not None:
         if n > len(values):
             raise ConfigurationError(
@@ -756,5 +772,6 @@ def read_sequence_file(path, n: int | None = None) -> list:
 def write_sequence_file(path, steps) -> None:
     lines = []
     for v in steps:
-        lines.append(str(int(v)) if float(v).is_integer() else repr(float(v)))
+        whole = isinstance(v, (int, np.integer)) or float(v).is_integer()
+        lines.append(str(int(v)) if whole else repr(float(v)))
     Path(path).write_text("\n".join(lines) + "\n")

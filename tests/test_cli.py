@@ -39,6 +39,15 @@ class TestGen:
     def test_missing_spec_file(self, tmp_path):
         assert run("gen", "--spec", tmp_path / "nope.json", "--n", 3) == 2
 
+    def test_malformed_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"family": ')
+        assert run("gen", "--spec", path, "--n", 3) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+        seq = tmp_path / "seq.json"
+        seq.write_text('{"family": ')
+        assert run("dist", "--seq", seq, "--n", 3) == 2
+
 
 class TestDist:
     def test_report_shape(self, tmp_path, seq_file):
@@ -80,6 +89,18 @@ class TestDist:
         assert run("dist", "--seq", seq_file, "--n", 4, "--out", out) == 3
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp*"))
+
+    def test_unwritable_report_exits_2_without_temp_file(self, tmp_path, seq_file):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert run("dist", "--seq", seq_file, "--n", 2, "--out", out) == 2
+        assert out.is_dir() and not list(tmp_path.glob("*.tmp*"))
+
+    def test_exact_residues_rejected(self, tmp_path, seq_file):
+        out = tmp_path / "mod.json"
+        assert run("dist", "--seq", seq_file, "--n", 2, "--mod", 5, "--exact",
+                   "--out", out) == 2
+        assert not out.exists()
 
 
 class TestBounds:
@@ -197,6 +218,19 @@ class TestMc:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"master_seed": 1}))
         assert run("mc", "--manifest", path) == 2
+
+    @pytest.mark.parametrize("body", [
+        '{"master_seed": 99, "replicates": 40',
+        "42",
+        json.dumps({"master_seed": 99, "replicates": 1.9, "horizon": 10,
+                    "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
+                    "params": {"n": 5}}),
+    ], ids=["truncated", "not_object", "fractional_replicates"])
+    def test_malformed_manifest_exits_2(self, tmp_path, body, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        assert run("mc", "--manifest", path) == 2
+        assert "rlab: error:" in capsys.readouterr().err
 
 
 class TestFitAndFormats:

@@ -6,13 +6,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
-from rlab.exact import (abs_tail_prob, concentration_q, convolve, modular_walk_pmf,
-                        pmf_from_atoms, q1_profile, reduce_mod, summary_moments,
-                        tail_prob, walk_pmf)
+from rlab.exact import (_lattice_law, abs_tail_prob, concentration_q, convolve,
+                        modular_walk_pmf, pmf_from_atoms, q1_profile, reduce_mod,
+                        summary_moments, tail_prob, walk_pmf)
 from conftest import enumerate_signed_sums
 
 step_lists = st.lists(st.integers(0, 12), min_size=1, max_size=12)
 positive_step_lists = st.lists(st.integers(1, 12), min_size=1, max_size=12)
+# mixes that keep the lattice kernel dense, sparse, or switching between them
+kernel_step_lists = st.lists(
+    st.one_of(st.integers(0, 3), st.integers(0, 1000),
+              st.sampled_from([2**k for k in range(12)] + [3**k for k in range(9)])),
+    max_size=40)
+
+# laws whose form changes: dense -> sparse -> dense, dense -> sparse for
+# good, and sparse from the first step (a 3**k law whose gcd is 1)
+SWITCHING = [1, 100] + [1] * 14
+POWERS_OF_THREE = [3**k for k in range(12)]
+SPARSE_POWERS_OF_THREE = [3**k for k in range(4, 16)] + [1]
 
 
 class TestWalkPmf:
@@ -87,6 +98,62 @@ class TestWalkPmf:
         a, b = walk_pmf(steps), walk_pmf(shuffled)
         assert list(a.support) == list(b.support)
         assert list(a.probs) == pytest.approx(list(b.probs), abs=1e-12)
+
+    @given(kernel_step_lists)
+    def test_float_and_rational_modes_agree_exactly(self, steps):
+        # every probability is dyadic with at most 40 bits, so float mode is exact
+        floats = walk_pmf(steps)
+        rationals = walk_pmf(steps, exact=True)
+        assert list(floats.support) == rationals.support
+        assert [float(p) for p in rationals.probs] == floats.probs.tolist()
+
+    @pytest.mark.parametrize("steps, forms", [
+        (SWITCHING, "ds" + "s" * 4 + "d" * 10),
+        (POWERS_OF_THREE, "d" * 6 + "s" * 6),
+        (SPARSE_POWERS_OF_THREE, "s" * 13),
+    ], ids=["dense_sparse_dense", "powers_of_three", "sparse_powers_of_three"])
+    def test_kernel_forms_match_oracle(self, steps, forms):
+        windows = np.cumsum(steps) + 1
+        sizes = []
+        _lattice_law(steps, 1 << 26, on_step=lambda w: sizes.append(w.size))
+        assert "".join("d" if n == w else "s" for n, w in zip(sizes, windows)) == forms
+        values, counts = enumerate_signed_sums(steps)
+        pmf = walk_pmf(steps)
+        assert pmf.support.tolist() == values.tolist()
+        assert pmf.probs.tolist() == [c / 2 ** len(steps) for c in counts.tolist()]
+        assert walk_pmf(steps, exact=True).probs == [
+            Fraction(c, 2 ** len(steps)) for c in counts.tolist()]
+        prof = q1_profile(steps)
+        assert prof == [walk_pmf(steps[:i]).max_atom() for i in range(1, len(steps) + 1)]
+
+    def test_dense_window_respects_cap(self):
+        # after the step of 10 the window has 15 slots, above the cap of 12,
+        # so the 10 atoms are kept sparse although they fill 2/3 of it
+        sizes = []
+        _lattice_law([1, 1, 1, 1, 10], 12, on_step=lambda w: sizes.append(w.size))
+        assert sizes == [2, 3, 4, 5, 10]
+
+    def test_long_switching_law(self):
+        # a 2-atom cluster pair around +-1000 convolved with a 300-step binomial
+        steps = [1, 1000] + [1] * 300
+        pmf = walk_pmf(steps)
+        want = {}
+        for base in (-1001, -999, 999, 1001):
+            for k in range(301):
+                v = base + 2 * k - 300
+                want[v] = want.get(v, 0) + math.comb(300, k)
+        assert pmf.support.tolist() == sorted(want)
+        assert pmf.probs.tolist() == pytest.approx(
+            [want[v] / 2.0**302 for v in sorted(want)], rel=1e-12, abs=0)
+        assert q1_profile(steps) == [walk_pmf(steps[:i]).max_atom()
+                                     for i in range(1, len(steps) + 1)]
+
+    def test_underflowed_atoms_stay_in_support(self):
+        pmf = walk_pmf([1] * 1100)
+        assert len(pmf) == 1101
+        assert pmf.support.tolist() == list(range(-1100, 1101, 2))
+        assert pmf.probs[0] == 0.0 and pmf.probs[-1] == 0.0
+        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_q1_profile_matches_walk_pmf(self):
         steps = [3, 1, 5, 3, 5, 0, 2, 2, 7]

@@ -297,3 +297,11 @@ class TestManifest:
     def test_missing_keys(self):
         with pytest.raises(ConfigurationError):
             McRunManifest.from_dict({"master_seed": 1})
+
+    @pytest.mark.parametrize("key", ["master_seed", "replicates", "horizon"])
+    @pytest.mark.parametrize("value", [1.9, 2.0, "3", True, None])
+    def test_non_integer_counts_rejected(self, key, value):
+        body = manifest(replicates=7, horizon=9).to_dict()
+        body[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            McRunManifest.from_dict(body)

@@ -457,12 +457,26 @@ class TestSequenceFiles:
         write_sequence_file(path, [3, 1, 4.5])
         assert read_sequence_file(path) == [3, 1, 4.5]
 
+    def test_roundtrip_keeps_large_integers_exact(self, tmp_path):
+        # 2**60 + 1 has no float64 image; 10**400 overflows float64
+        path = tmp_path / "seq.txt"
+        big = [2**60 + 1, 10**400, 7]
+        write_sequence_file(path, big)
+        assert path.read_text().splitlines()[0] == "1152921504606846977"
+        back = read_sequence_file(path)
+        assert back == big and all(type(v) is int for v in back)
+        path.write_text("1e3\n2.0\n")
+        assert read_sequence_file(path) == [1000, 2]
+
     def test_json_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"family": "sqrt_block"}')
         assert read_sequence_file(path, n=4) == [3, 1, 5, 3]
         with pytest.raises(ConfigurationError):
             read_sequence_file(path)  # spec files need a length
+        path.write_text('{"family": "sqrt_bl')
+        with pytest.raises(ConfigurationError, match="malformed JSON"):
+            read_sequence_file(path, n=4)
 
     def test_spec_dict_roundtrip(self):
         s = spec(family="geometric", growth_fn=[1, 2, 4])
