@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-import time
+from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +40,106 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# The JSON report writer below gives the bytes of
+# json.dumps(obj, indent=2, default=_json_default), which tests keep as its
+# oracle. json uses its C encoder only without `indent`, and its pure-Python
+# one walks every list item; this writer renders lists of one scalar type in
+# a single pass instead.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_texts(items) -> list[str]:
+    """Texts of a sequence of floats, each distinct value repr'd once.
+
+    Walk laws repeat most probabilities (a symmetric law holds each twice).
+    Values are told apart by bit pattern, so -0.0 and 0.0 keep their texts.
+    """
+    bits, where = np.unique(np.array(items, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    values = bits.view(np.float64)
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _float_text(values[i])
+    return np.array(texts, dtype=object)[where].tolist()
+
+
+def _key_text(key) -> str:
+    """json's string for a dict key, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    """Append the indent=2 JSON text of `obj`, starting on a line indented by `pad`."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        # exact types: bools and numpy.float64 items take the item-by-item path
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            out.append(sep.join(_float_texts(obj)))
+        elif kinds == {int}:
+            out.append(sep.join(map(int.__repr__, obj)))
+        elif kinds == {str}:
+            out.append(sep.join(map(_quote, obj)))
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(sep)
+                _write_json(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                out.append(sep)
+            out.append(_quote(_key_text(key)) + ": ")
+            _write_json(value, inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        _write_json(_json_default(obj), pad, out)
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     try:
@@ -56,7 +156,7 @@ def _manifest(command: str, inputs: dict, output_path: str | None) -> dict:
         "command": command,
         "inputs": inputs,
         "output_path": output_path,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool_version": __version__,
     }
 
@@ -68,9 +168,16 @@ def _g(value) -> str:
 
 
 def emit_table(report: dict, fmt: str) -> str:
-    """Project a report to the requested format; CSV uses 12 significant digits."""
+    """Project a report to the requested format; CSV uses 12 significant digits.
+
+    JSON is the text of json.dumps(report, indent=2, default=_json_default)
+    plus a newline, byte for byte.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2, default=_json_default) + "\n"
+        out = []
+        _write_json(report, "", out)
+        out.append("\n")
+        return "".join(out)
     if fmt != "csv":
         raise ConfigurationError(f"unknown output format {fmt!r}")
     result = report.get("result", {})
@@ -155,12 +262,15 @@ def cmd_dist(args) -> int:
         return 0
     pmf = exact.walk_pmf(steps, exact=bool(args.exact))
     query = exact.concentration_q(pmf, args.q)
-    probs = ([f"{p.numerator}/{p.denominator}" for p in pmf.probs]
-             if pmf.exact else [float(p) for p in pmf.probs])
+    if pmf.exact:
+        support = [int(v) for v in pmf.support]
+        probs = [f"{p.numerator}/{p.denominator}" for p in pmf.probs]
+    else:
+        support, probs = pmf.support.tolist(), pmf.probs.tolist()
     result = {
         "kind": "dist",
         "steps_applied": pmf.steps_applied,
-        "support": [int(v) for v in pmf.support],
+        "support": support,
         "probs": probs,
         "q": {"r": args.q,
               "value": (f"{query.result.numerator}/{query.result.denominator}"
@@ -232,10 +342,21 @@ def _load_manifest(path: str) -> mc.McRunManifest:
         raise ConfigurationError(f"manifest file not found: {path}")
     data = parse_json_object(Path(path).read_text(), path, "manifest")
     if "manifest" in data and "result" in data:  # replaying a persisted report
-        data = data["result"].get("mc_manifest")
-        if data is None:
+        result = data["result"]
+        data = result.get("mc_manifest") if isinstance(result, dict) else None
+        if not isinstance(data, dict):
             raise ConfigurationError(f"{path} is a report but not from an mc run")
     return mc.McRunManifest.from_dict(data)
+
+
+def _param(convert, params: dict, name: str, default=None):
+    """`convert` applied to manifest parameter `name`; a value it rejects is a
+    ConfigurationError."""
+    value = params.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"malformed manifest params.{name}: {value!r}") from None
 
 
 def cmd_mc(args) -> int:
@@ -243,14 +364,19 @@ def cmd_mc(args) -> int:
     params = manifest.params
     if manifest.experiment == "interval_hits":
         if "windows" in params:
-            windows = [tuple(w) for w in params["windows"]]
+            windows = _param(lambda v: [(int(s), int(e)) for s, e in v],
+                             params, "windows")
         elif "block_ks" in params:
-            windows = [recurrence_event_window(int(k)) for k in params["block_ks"]]
+            ks = _param(lambda v: [int(k) for k in v], params, "block_ks")
+            windows = [recurrence_event_window(k) for k in ks]
         else:
             raise ConfigurationError(
                 "interval_hits needs params.windows or params.block_ks")
-        stats = mc.estimate_interval_hits(manifest, params.get("C", 0.0), windows,
-                                          threads=args.threads)
+        C = params.get("C", 0.0)
+        if isinstance(C, bool) or not isinstance(C, (int, float)):
+            # checked, not converted: a float C would compare the int64 walk in float64
+            raise ConfigurationError(f"malformed manifest params.C: {C!r}")
+        stats = mc.estimate_interval_hits(manifest, C, windows, threads=args.threads)
         result = {
             "kind": "mc_interval_hits",
             "per_event": {str(k): vars(ev) for k, ev in stats.per_event.items()},
@@ -261,10 +387,10 @@ def cmd_mc(args) -> int:
     elif manifest.experiment == "q1_estimate":
         if "n" not in params:
             raise ConfigurationError("q1_estimate needs params.n")
-        est = mc.estimate_q1(manifest, int(params["n"]), threads=args.threads)
+        est = mc.estimate_q1(manifest, _param(int, params, "n"), threads=args.threads)
         result = {"kind": "mc_q1", **vars(est)}
     elif manifest.experiment == "embed2d":
-        k = int(params.get("k", 1))
+        k = _param(int, params, "k", 1)
         steps = np.asarray(generate(manifest.spec, manifest.horizon))
         mismatches = 0
         visits_total = 0
@@ -279,18 +405,16 @@ def cmd_mc(args) -> int:
                   "fidelity_mismatches": mismatches,
                   "mean_visits": visits_total / manifest.replicates}
     elif manifest.experiment == "coupling":
-        d = float(params.get("d", 1.0))
-        eps = float(params.get("epsilon", 0.1))
+        d = _param(float, params, "d", 1.0)
+        eps = _param(float, params, "epsilon", 0.1)
         episodes = wins = 0
         gap_ok = 0
         max_episodes = 0
-        horizon = params.get("horizon")
-        dps = int(params.get("dps", 60))
+        horizon = _param(int, params, "horizon") if params.get("horizon") else None
+        dps = _param(int, params, "dps", 60)
         for rep in range(manifest.replicates):
             pair = mc.simulate_coupling(manifest.spec, d, eps, manifest.master_seed,
-                                        replicate=rep,
-                                        horizon=int(horizon) if horizon else None,
-                                        dps=dps)
+                                        replicate=rep, horizon=horizon, dps=dps)
             episodes += len(pair.episode_wins)
             wins += sum(pair.episode_wins)
             gap_ok += 0.0 <= pair.final_gap <= eps

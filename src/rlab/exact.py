@@ -101,7 +101,13 @@ def support_cap(explicit: int | None = None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(SUPPORT_CAP_ENV)
-    return int(env) if env else DEFAULT_SUPPORT_CAP
+    if not env:
+        return DEFAULT_SUPPORT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"{SUPPORT_CAP_ENV} must be an integer, not {env!r}") from None
 
 
 def _as_int_steps(steps) -> list[int]:

@@ -60,6 +60,9 @@ class McRunManifest:
         missing = needed - set(data)
         if missing:
             raise ConfigurationError(f"manifest is missing keys: {sorted(missing)}")
+        if not isinstance(data.get("params", {}), dict):
+            raise ConfigurationError(
+                f"manifest params must be an object, not {data['params']!r}")
         for key in ("master_seed", "replicates", "horizon"):
             value = data[key]
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,10 +77,18 @@ class StepSequenceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown sequence family {self.family!r}")
+        if self.alpha is not None:
+            _require_number(self.alpha, "alpha")
+        _require_number(self.cover_confidence, "cover_confidence")
+        _require(isinstance(self.floor_values, bool),
+                 f"sequence spec floor_values must be true or false, "
+                 f"not {self.floor_values!r}")
         if self.growth_fn is not None:
-            object.__setattr__(self, "growth_fn", tuple(float(v) for v in self.growth_fn))
+            object.__setattr__(self, "growth_fn", tuple(
+                float(v) for v in _number_tuple(self.growth_fn, "growth_fn")))
         if self.custom_values is not None:
-            object.__setattr__(self, "custom_values", tuple(self.custom_values))
+            object.__setattr__(self, "custom_values",
+                               _number_tuple(self.custom_values, "custom_values"))
         if not 0.0 < self.cover_confidence < 1.0:
             raise ConfigurationError("cover_confidence must lie in (0, 1)")
 
@@ -99,6 +108,8 @@ class StepSequenceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepSequenceSpec":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"sequence spec must be an object, not {data!r}")
         if "family" not in data:
             raise ConfigurationError("sequence spec is missing the 'family' key")
         known = {"family", "alpha", "floor_values", "growth_fn", "cover_confidence",
@@ -149,6 +160,22 @@ class SparseConditionReport:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigurationError(message)
+
+
+def _require_number(value, name: str) -> None:
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             f"sequence spec {name} must be a number, not {value!r}")
+
+
+def _number_tuple(values, name: str) -> tuple:
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ConfigurationError(
+            f"sequence spec {name} must be a list of numbers, not {values!r}") from None
+    for v in items:
+        _require_number(v, name)
+    return items
 
 
 class _Tabulated:

@@ -1,10 +1,14 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import rlab.cli
 import rlab.verify
-from rlab.cli import emit_table, main
+from rlab.cli import _json_default, emit_table, main
 from rlab.verify import VerifySuiteResult
 
 
@@ -39,6 +43,20 @@ class TestGen:
     def test_missing_spec_file(self, tmp_path):
         assert run("gen", "--spec", tmp_path / "nope.json", "--n", 3) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "power", "alpha": "x"},
+        {"family": "power", "alpha": 1, "floor_values": "x"},
+        {"family": "fast_block", "growth_fn": [1, "x"]},
+        {"family": "fast_block", "growth_fn": [1.0], "cover_confidence": "x"},
+        {"family": "custom", "custom_values": "x"},
+    ], ids=["alpha", "floor_values", "growth_fn", "cover_confidence", "custom_values"])
+    def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run("gen", "--spec", path, "--n", 3) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error:" in err and "'x'" in err and "Traceback" not in err
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text('{"family": ')
@@ -55,6 +73,7 @@ class TestDist:
         assert run("dist", "--seq", seq_file, "--n", 2, "--q", 1, "--out", out) == 0
         rep = load(out)
         assert rep["tool_version"] == rep["manifest"]["tool_version"]
+        assert rep["manifest"]["created_at"].endswith("+00:00")
         res = rep["result"]
         assert res["support"] == [-4, -2, 2, 4]
         assert res["probs"] == [0.25, 0.25, 0.25, 0.25]
@@ -95,6 +114,12 @@ class TestDist:
         out.mkdir()
         assert run("dist", "--seq", seq_file, "--n", 2, "--out", out) == 2
         assert out.is_dir() and not list(tmp_path.glob("*.tmp*"))
+
+    def test_malformed_support_cap_env_exits_2(self, seq_file, monkeypatch, capsys):
+        monkeypatch.setenv("RLAB_SUPPORT_CAP", "abc")
+        assert run("dist", "--seq", seq_file, "--n", 2) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error:" in err and "'abc'" in err and "Traceback" not in err
 
     def test_exact_residues_rejected(self, tmp_path, seq_file):
         out = tmp_path / "mod.json"
@@ -214,6 +239,28 @@ class TestMc:
         assert res["final_gap_in_range"] == 50
         assert res["per_episode_win_rate"] >= 0.15
 
+    def test_replayed_report_without_object_result_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"manifest": {}, "result": [1, 2]}))
+        assert run("mc", "--manifest", path) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment,params,name", [
+        ("q1_estimate", {"n": "x"}, "n"),
+        ("interval_hits", {"C": "x", "windows": [[1, 4]]}, "C"),
+        ("interval_hits", {"windows": [["x", 4]]}, "windows"),
+        ("interval_hits", {"windows": 5}, "windows"),
+        ("interval_hits", {"block_ks": [1, None]}, "block_ks"),
+        ("coupling", {"epsilon": "x"}, "epsilon"),
+    ], ids=["n", "C", "window_value", "windows_not_pairs", "block_ks", "epsilon"])
+    def test_malformed_param_exits_2(self, tmp_path, capsys, experiment, params, name):
+        man = write_manifest(tmp_path, experiment=experiment, params=params)
+        assert run("mc", "--manifest", man) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error:" in err and f"params.{name}" in err
+        assert "Traceback" not in err
+
     def test_bad_manifest_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"master_seed": 1}))
@@ -225,7 +272,14 @@ class TestMc:
         json.dumps({"master_seed": 99, "replicates": 1.9, "horizon": 10,
                     "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
                     "params": {"n": 5}}),
-    ], ids=["truncated", "not_object", "fractional_replicates"])
+        json.dumps({"master_seed": 99, "replicates": 10, "horizon": 10,
+                    "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
+                    "params": [5]}),
+        json.dumps({"master_seed": 99, "replicates": 10, "horizon": 10,
+                    "spec": "sqrt_block", "experiment": "q1_estimate",
+                    "params": {"n": 5}}),
+    ], ids=["truncated", "not_object", "fractional_replicates", "params_not_object",
+            "spec_not_object"])
     def test_malformed_manifest_exits_2(self, tmp_path, body, capsys):
         path = tmp_path / "bad.json"
         path.write_text(body)
@@ -291,3 +345,119 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+
+MC_CASES = {
+    "interval_hits": {"params": {"C": 0, "windows": [[1, 4], [5, 9]]}},
+    "q1_estimate": {"params": {"n": 6}},
+    "embed2d": {"params": {"k": 1}},
+    "coupling": {"params": {"d": 1.0, "epsilon": 0.1},
+                 "spec": {"family": "power", "alpha": 0.5}},
+}
+
+
+def oracle(report):
+    return json.dumps(report, indent=2, default=_json_default) + "\n"
+
+
+# JSON values for the writer's property: every leaf type json.dumps takes,
+# with default=_json_default, plus lists of one type (its bulk path).
+SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf,
+                                  5e-324, 1e308, 0.1, -2.5])
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats())
+INTS = st.integers(min_value=-2**70, max_value=2**70)
+TEXTS = st.one_of(st.sampled_from(["", "\u00e9t\u00e9", "\U0001f600", 'a"b\\c',
+                                   "tab\tnew\nline", "\x00\x1f\u2028"]),
+                  st.text())
+NUMPY_LEAVES = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=6).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    FLOATS.map(np.array),
+)
+LEAVES = st.one_of(FLOATS, INTS, st.booleans(), st.none(), TEXTS, NUMPY_LEAVES,
+                   st.fractions())
+HOMOGENEOUS = st.one_of(
+    st.lists(FLOATS, max_size=40),
+    st.lists(SPECIAL_FLOATS, min_size=2, max_size=40),
+    st.lists(INTS, max_size=20),
+    st.lists(TEXTS, max_size=10),
+    st.lists(st.booleans(), max_size=5),
+)
+KEYS = st.one_of(TEXTS, INTS, FLOATS, st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    st.one_of(LEAVES, HOMOGENEOUS, HOMOGENEOUS.map(tuple)),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(KEYS, inner, max_size=5)),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    """The JSON writer gives json.dumps(indent=2)'s bytes, which stay its oracle."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        seen = []
+
+        def spy(report, fmt):
+            text = emit_table(report, fmt)
+            seen.append((report, text))
+            return text
+        monkeypatch.setattr(rlab.cli, "emit_table", spy)
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--seq", "{spec}", "--n", 24],
+        ["dist", "--seq", "{seq}", "--n", 4, "--exact"],
+        ["dist", "--seq", "{seq}", "--n", 4, "--mod", 6],
+        ["bounds", "--check", "elo", "--seq", "{seq}"],
+        ["bounds", "--check", "modular-elo", "--m", 7, "--seq", "{seq}"],
+        ["bounds", "--check", "lower-anti", "--seq", "{seq}"],
+        ["bounds", "--check", "hoeffding", "--seq", "{seq}", "--t", 1],
+        ["bounds", "--exponent", "--alpha", 0.7, "--delta", 0.1],
+        ["mc", "--manifest", "{interval_hits}"],
+        ["mc", "--manifest", "{q1_estimate}"],
+        ["mc", "--manifest", "{embed2d}"],
+        ["mc", "--manifest", "{coupling}"],
+        ["fit", "--points", "{points}"],
+        ["verify", "--suite", "elo", "--max-n", 8],
+    ], ids=["dist", "dist_exact", "dist_mod", "elo", "modular_elo", "lower_anti",
+            "hoeffding", "exponent", "mc_interval_hits", "mc_q1_estimate",
+            "mc_embed2d", "mc_coupling", "fit", "verify"])
+    def test_real_reports_match_json_dumps(self, tmp_path, seq_file, written, argv):
+        spec = tmp_path / "power.json"
+        spec.write_text(json.dumps({"family": "power", "alpha": 1}))
+        points = tmp_path / "points.csv"
+        points.write_text("".join(f"{n},{n ** -1.5}\n" for n in (50, 100, 200)))
+        files = {"spec": spec, "seq": seq_file, "points": points}
+        for name, extra in MC_CASES.items():
+            (tmp_path / name).mkdir()
+            files[name] = write_manifest(tmp_path / name, replicates=20,
+                                         experiment=name, **extra)
+        out = tmp_path / "report.json"
+        assert run(*[str(a).format(**files) for a in argv], "--out", out) == 0
+        (report, text), = written
+        assert text == oracle(report) == out.read_text()
+
+    def test_dist_report_lists_are_plain_python(self, tmp_path, spec_file, written):
+        assert run("dist", "--seq", spec_file, "--n", 12) == 0
+        (report, _), = written
+        res = report["result"]
+        assert {type(v) for v in res["support"]} == {int}
+        assert {type(p) for p in res["probs"]} == {float}
+
+    @given(st.dictionaries(TEXTS, JSON_VALUES, max_size=4))
+    def test_matches_json_dumps(self, report):
+        assert emit_table(report, "json") == oracle(report)
+
+    def test_unserialisable_values_raise_like_json(self):
+        for bad in ({"x": object()}, {"x": [np.bool_(True)]}, {"x": {(1, 2): 3}}):
+            with pytest.raises(TypeError):
+                oracle(bad)
+            with pytest.raises(TypeError):
+                emit_table(bad, "json")
