@@ -10,6 +10,7 @@ writes a plot-ready projection instead. Logarithms are natural throughout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import math
@@ -24,8 +25,7 @@ import numpy as np
 from . import __version__, bounds, exact, mc, verify
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .sequences import (StepSequenceSpec, generate, parse_json_object,
-                        read_sequence_file, recurrence_event_window,
-                        write_sequence_file)
+                        read_sequence_file, write_sequence_file)
 
 
 def _json_default(obj):
@@ -349,85 +349,11 @@ def _load_manifest(path: str) -> mc.McRunManifest:
     return mc.McRunManifest.from_dict(data)
 
 
-def _param(convert, params: dict, name: str, default=None):
-    """`convert` applied to manifest parameter `name`; a value it rejects is a
-    ConfigurationError."""
-    value = params.get(name, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"malformed manifest params.{name}: {value!r}") from None
-
-
 def cmd_mc(args) -> int:
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be at least 1, not {args.threads}")
     manifest = _load_manifest(args.manifest)
-    params = manifest.params
-    if manifest.experiment == "interval_hits":
-        if "windows" in params:
-            windows = _param(lambda v: [(int(s), int(e)) for s, e in v],
-                             params, "windows")
-        elif "block_ks" in params:
-            ks = _param(lambda v: [int(k) for k in v], params, "block_ks")
-            windows = [recurrence_event_window(k) for k in ks]
-        else:
-            raise ConfigurationError(
-                "interval_hits needs params.windows or params.block_ks")
-        C = params.get("C", 0.0)
-        if isinstance(C, bool) or not isinstance(C, (int, float)):
-            # checked, not converted: a float C would compare the int64 walk in float64
-            raise ConfigurationError(f"malformed manifest params.C: {C!r}")
-        stats = mc.estimate_interval_hits(manifest, C, windows, threads=args.threads)
-        result = {
-            "kind": "mc_interval_hits",
-            "per_event": {str(k): vars(ev) for k, ev in stats.per_event.items()},
-            "joint": {f"{j},{k}": c for (j, k), c in stats.joint.items()},
-            "kochen_stone": mc.kochen_stone_estimate(stats, max(stats.per_event))
-            if stats.per_event else {},
-        }
-    elif manifest.experiment == "q1_estimate":
-        if "n" not in params:
-            raise ConfigurationError("q1_estimate needs params.n")
-        est = mc.estimate_q1(manifest, _param(int, params, "n"), threads=args.threads)
-        result = {"kind": "mc_q1", **vars(est)}
-    elif manifest.experiment == "embed2d":
-        k = _param(int, params, "k", 1)
-        steps = np.asarray(generate(manifest.spec, manifest.horizon))
-        mismatches = 0
-        visits_total = 0
-        for rep in range(manifest.replicates):
-            trace = mc.block_pair_trace(manifest, rep, k, steps=steps)
-            emb = mc.embed_2d(trace, k)
-            zeros = int(np.count_nonzero(np.asarray(trace) == 0))
-            visits_total += emb.visits_to_line
-            if emb.visits_to_line != zeros:
-                mismatches += 1
-        result = {"kind": "mc_embed2d", "k": k, "traces": manifest.replicates,
-                  "fidelity_mismatches": mismatches,
-                  "mean_visits": visits_total / manifest.replicates}
-    elif manifest.experiment == "coupling":
-        d = _param(float, params, "d", 1.0)
-        eps = _param(float, params, "epsilon", 0.1)
-        episodes = wins = 0
-        gap_ok = 0
-        max_episodes = 0
-        horizon = _param(int, params, "horizon") if params.get("horizon") else None
-        dps = _param(int, params, "dps", 60)
-        for rep in range(manifest.replicates):
-            pair = mc.simulate_coupling(manifest.spec, d, eps, manifest.master_seed,
-                                        replicate=rep, horizon=horizon, dps=dps)
-            episodes += len(pair.episode_wins)
-            wins += sum(pair.episode_wins)
-            gap_ok += 0.0 <= pair.final_gap <= eps
-            max_episodes = max(max_episodes, pair.episodes_used)
-        result = {"kind": "mc_coupling", "d": d, "epsilon": eps,
-                  "runs": manifest.replicates, "final_gap_in_range": gap_ok,
-                  "episodes": episodes,
-                  "per_episode_win_rate": wins / episodes if episodes else 1.0,
-                  "max_episodes": max_episodes}
-    else:
-        raise ConfigurationError(f"unknown experiment {manifest.experiment!r}")
-    result["mc_manifest"] = manifest.to_dict()
-    result["generator"] = mc.GENERATOR_VERSION
+    result = mc.run_experiment(manifest, threads=args.threads)
     _write_report(args, "mc", {"manifest_path": args.manifest,
                                "manifest_body": manifest.to_dict(),
                                "threads": args.threads}, result)
@@ -460,12 +386,14 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     knobs = {"seed": args.seed}
-    if args.max_n is not None:
-        knobs["max_n"] = args.max_n
-    if args.cases is not None:
-        knobs["cases"] = args.cases
-    if args.max_m is not None:
-        knobs["max_m"] = args.max_m
+    # every suite takes --seed; a suite without randomness has nothing to seed
+    reads = inspect.signature(verify.SUITES[args.suite]).parameters
+    for name in ("max_n", "cases", "max_m"):
+        if getattr(args, name) is not None:
+            if name not in reads:
+                raise ConfigurationError(f"suite {args.suite} does not read "
+                                         f"--{name.replace('_', '-')}")
+            knobs[name] = getattr(args, name)
     res = verify.run_suite(args.suite, **knobs)
     result = {"kind": "verify", "suite": res.suite, "cases_run": res.cases_run,
               "failures": res.failures,
@@ -477,11 +405,6 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="report path (stdout when omitted)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte Carlo sharding")
-    common.add_argument("--seed", type=int, default=20240801, help="master seed")
-    common.add_argument("--exact", action="store_true",
-                        help="rational-probability mode for the exact engine")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (CSV is a lossy plotting projection)")
 
@@ -491,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and reproducible Monte Carlo. Logs are natural (base e).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a step sequence")
+    p = sub.add_parser("gen", help="generate a step sequence")
+    p.add_argument("--out", help="sequence file path (stdout when omitted)")
     p.add_argument("--spec", required=True, help="JSON sequence spec file")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_gen)
@@ -503,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="prefix length")
     p.add_argument("--q", type=float, default=1.0, help="concentration window width")
     p.add_argument("--mod", type=int, default=None, help="residue distribution mod m")
+    p.add_argument("--exact", action="store_true",
+                   help="rational-probability mode for the exact engine")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form bound reports")
@@ -521,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", parents=[common], help="Monte Carlo experiments")
     p.add_argument("--manifest", required=True,
                    help="manifest JSON (or a prior report, for replay)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for Monte Carlo sharding")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("fit", parents=[common], help="log-log exponent fit")
@@ -529,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="inequality verification suites")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    p.add_argument("--seed", type=int, default=20240801, help="master seed")
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--max-m", dest="max_m", type=int, default=None)
     p.add_argument("--cases", type=int, default=None)

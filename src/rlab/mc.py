@@ -20,7 +20,13 @@ from .sequences import (StepSequenceSpec, generate, integer_valued,
 from .streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
                       substream, wilson_interval)
 
-EXPERIMENTS = ("interval_hits", "q1_estimate", "embed2d", "coupling")
+# each experiment and the names of the params it reads (see `run_experiment`)
+EXPERIMENTS = {
+    "interval_hits": ("C", "windows", "block_ks"),
+    "q1_estimate": ("n",),
+    "embed2d": ("k",),
+    "coupling": ("d", "epsilon", "horizon", "dps"),
+}
 _CHUNK = 2048
 _REAL_STEP_GRID = 16  # unit windows slide on a 1/16 grid for real-valued walks
 
@@ -39,6 +45,10 @@ class McRunManifest:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
+        unknown = sorted(map(str, set(self.params) - set(EXPERIMENTS[self.experiment])))
+        if unknown:
+            raise ConfigurationError(
+                f"{self.experiment} does not read params." + ", params.".join(unknown))
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         if self.horizon < 1:
@@ -60,6 +70,9 @@ class McRunManifest:
         missing = needed - set(data)
         if missing:
             raise ConfigurationError(f"manifest is missing keys: {sorted(missing)}")
+        unknown = set(data) - needed - {"params"}
+        if unknown:
+            raise ConfigurationError(f"unknown manifest keys: {sorted(unknown)}")
         if not isinstance(data.get("params", {}), dict):
             raise ConfigurationError(
                 f"manifest params must be an object, not {data['params']!r}")
@@ -171,6 +184,15 @@ def _chunks(total: int, width: int):
         start += size
 
 
+def _sign_matrix(manifest: McRunManifest, chunk, size: int) -> np.ndarray:
+    """The first `size` signs of each replicate in `chunk`, one row each."""
+    sampler = SubstreamSampler()
+    signs = np.empty((len(chunk), size), dtype=np.int64)
+    for row, rep in enumerate(chunk):
+        signs[row] = sampler.signs(manifest.master_seed, rep, size)
+    return signs
+
+
 def _map_chunks(worker, total, width, threads):
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -199,11 +221,7 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
     K = len(windows)
 
     def worker(chunk):
-        sampler = SubstreamSampler()
-        signs = np.empty((len(chunk), manifest.horizon), dtype=np.int64)
-        for row, rep in enumerate(chunk):
-            signs[row] = sampler.signs(manifest.master_seed, rep, manifest.horizon)
-        pos = np.cumsum(signs * steps[None, :], axis=1)
+        pos = np.cumsum(_sign_matrix(manifest, chunk, manifest.horizon) * steps, axis=1)
         hits = np.empty((len(chunk), K), dtype=bool)
         for j, (s, e) in enumerate(windows):
             hits[:, j] = (np.abs(pos[:, s - 1:e]) <= C).any(axis=1)
@@ -264,11 +282,7 @@ def estimate_q1(manifest: McRunManifest, n: int, replicates: int | None = None,
     integral = steps.dtype.kind == "i"
 
     def worker(chunk):
-        sampler = SubstreamSampler()
-        signs = np.empty((len(chunk), n), dtype=np.int64)
-        for row, rep in enumerate(chunk):
-            signs[row] = sampler.signs(manifest.master_seed, rep, n)
-        values = signs @ steps
+        values = _sign_matrix(manifest, chunk, n) @ steps
         if integral:
             vals, cnts = np.unique(values, return_counts=True)
         else:
@@ -523,14 +537,14 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
                 raise InfeasibleError(
                     f"episode {episodes}: step gaps past n={n_i} are too coarse for "
                     f"delta={float(delta)}")
-            s1 = int(rng.integers(0, 2)) * 2 - 1
+            s1 = int(rademacher_signs(rng, 1)[0])
             D = D + 2 * s1 * view.a(n_i)
             anti.append((n_i, s1))
             if 0 <= D <= eps:
                 wins.append(True)
                 return CoupledPair(float(d), float(epsilon), episodes, float(D),
                                    wins, anti, n_i)
-            s2 = int(rng.integers(0, 2)) * 2 - 1
+            s2 = int(rademacher_signs(rng, 1)[0])
             D = D + 2 * s2 * view.a(m_i)
             anti.append((m_i, s2))
             t = m_i
@@ -555,3 +569,96 @@ def replay_final_gap(spec: StepSequenceSpec, d: float, anti_steps,
         for idx, sign in anti_steps:
             D = D + 2 * sign * view.a(idx)
         return float(D)
+
+
+def _param(params: dict, name: str, check, default=None):
+    """Manifest parameter `name` passed through `check`, or `default` when it is
+    absent; a value `check` rejects is a ConfigurationError naming it."""
+    if name not in params:
+        return default
+    try:
+        return check(params[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"malformed manifest params.{name}: {params[name]!r}") from None
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(value)
+    return int(value)
+
+
+def _positive(value) -> int:
+    value = _integer(value)
+    if value < 1:
+        raise ValueError(value)
+    return value
+
+
+def _real(value):
+    """`value` itself if it is an int or a float (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return value
+
+
+def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
+    """The `result` block of an `rlab mc` report; `threads` shards the
+    replicates of interval_hits and q1_estimate."""
+    params = manifest.params
+    if manifest.experiment == "interval_hits":
+        if ("windows" in params) == ("block_ks" in params):
+            raise ConfigurationError(
+                "interval_hits needs exactly one of params.windows and params.block_ks")
+        windows = _param(params, "windows",
+                         lambda v: [(_integer(s), _integer(e)) for s, e in v])
+        if windows is None:
+            ks = _param(params, "block_ks", lambda v: [_integer(k) for k in v])
+            windows = [recurrence_event_window(k) for k in ks]
+        # checked, not converted: a float C would compare the int64 walk in float64
+        C = _param(params, "C", _real, 0.0)
+        stats = estimate_interval_hits(manifest, C, windows, threads=threads)
+        result = {
+            "kind": "mc_interval_hits",
+            "per_event": {str(k): vars(ev) for k, ev in stats.per_event.items()},
+            "joint": {f"{j},{k}": c for (j, k), c in stats.joint.items()},
+            "kochen_stone": kochen_stone_estimate(stats, max(stats.per_event))
+            if stats.per_event else {},
+        }
+    elif manifest.experiment == "q1_estimate":
+        if "n" not in params:
+            raise ConfigurationError("q1_estimate needs params.n")
+        est = estimate_q1(manifest, _param(params, "n", _positive), threads=threads)
+        result = {"kind": "mc_q1", **vars(est)}
+    elif manifest.experiment == "embed2d":
+        k = _param(params, "k", _positive, 1)
+        steps = _steps_array(manifest)
+        mismatches = visits_total = 0
+        for rep in range(manifest.replicates):
+            trace = block_pair_trace(manifest, rep, k, steps=steps)
+            emb = embed_2d(trace, k)
+            visits_total += emb.visits_to_line
+            mismatches += emb.visits_to_line != int(np.count_nonzero(trace == 0))
+        result = {"kind": "mc_embed2d", "k": k, "traces": manifest.replicates,
+                  "fidelity_mismatches": mismatches,
+                  "mean_visits": visits_total / manifest.replicates}
+    else:
+        d = _param(params, "d", lambda v: float(_real(v)), 1.0)
+        eps = _param(params, "epsilon", lambda v: float(_real(v)), 0.1)
+        horizon = _param(params, "horizon", _positive)
+        dps = _param(params, "dps", _positive, 60)
+        episodes = wins = gap_ok = max_episodes = 0
+        for rep in range(manifest.replicates):
+            pair = simulate_coupling(manifest.spec, d, eps, manifest.master_seed,
+                                     replicate=rep, horizon=horizon, dps=dps)
+            episodes += len(pair.episode_wins)
+            wins += sum(pair.episode_wins)
+            gap_ok += 0.0 <= pair.final_gap <= eps
+            max_episodes = max(max_episodes, pair.episodes_used)
+        result = {"kind": "mc_coupling", "d": d, "epsilon": eps,
+                  "runs": manifest.replicates, "final_gap_in_range": gap_ok,
+                  "episodes": episodes,
+                  "per_episode_win_rate": wins / episodes if episodes else 1.0,
+                  "max_episodes": max_episodes}
+    return {**result, "mc_manifest": manifest.to_dict(), "generator": GENERATOR_VERSION}

@@ -55,8 +55,7 @@ class SubstreamSampler:
         return self._gen
 
     def signs(self, master_seed: int, index: int, size: int) -> np.ndarray:
-        rng = self._rewind(master_seed, index)
-        return rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
+        return rademacher_signs(self._rewind(master_seed, index), size)
 
 
 def wilson_interval(hits: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

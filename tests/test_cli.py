@@ -187,6 +187,15 @@ def write_manifest(tmp_path, **overrides):
     return path
 
 
+MC_CASES = {
+    "interval_hits": {"params": {"C": 0, "windows": [[1, 4], [5, 9]]}},
+    "q1_estimate": {"params": {"n": 6}},
+    "embed2d": {"params": {"k": 1}},
+    "coupling": {"params": {"d": 1.0, "epsilon": 0.1},
+                 "spec": {"family": "power", "alpha": 0.5}},
+}
+
+
 class TestMc:
     def test_interval_hits_report(self, tmp_path):
         man = write_manifest(tmp_path)
@@ -206,8 +215,10 @@ class TestMc:
         assert run("mc", "--manifest", man, "--out", out) == 0
         assert set(load(out)["result"]["per_event"]) == {"1", "2"}
 
-    def test_replay_from_report_is_bit_identical(self, tmp_path):
-        man = write_manifest(tmp_path)
+    @pytest.mark.parametrize("experiment", list(MC_CASES))
+    def test_replay_from_report_is_bit_identical(self, tmp_path, experiment):
+        man = write_manifest(tmp_path, experiment=experiment, replicates=50,
+                             **MC_CASES[experiment])
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
         assert run("mc", "--manifest", man, "--out", out1) == 0
@@ -253,13 +264,32 @@ class TestMc:
         ("interval_hits", {"windows": 5}, "windows"),
         ("interval_hits", {"block_ks": [1, None]}, "block_ks"),
         ("coupling", {"epsilon": "x"}, "epsilon"),
-    ], ids=["n", "C", "window_value", "windows_not_pairs", "block_ks", "epsilon"])
+        ("q1_estimate", {"n": 4.7}, "n"),
+        ("q1_estimate", {"n": True}, "n"),
+        ("interval_hits", {"windows": [[1.9, 4.2]]}, "windows"),
+        ("embed2d", {"k": 1.5}, "k"),
+        ("coupling", {"d": True}, "d"),
+        ("coupling", {"horizon": 0}, "horizon"),
+        ("coupling", {"dps": 0}, "dps"),
+        ("interval_hits", {"windows": [[1, 4]], "block_ks": [1]}, "block_ks"),
+        ("coupling", {"d": 1.0, "eps": 0.5}, "eps"),
+        ("q1_estimate", {"n": 4, "replicates": 5}, "replicates"),
+    ], ids=["n", "C", "window_value", "windows_not_pairs", "block_ks", "epsilon",
+            "n_fraction", "n_bool", "window_fraction", "k_fraction", "d_bool",
+            "horizon_zero", "dps_zero", "windows_and_block_ks", "unknown_eps",
+            "unknown_replicates"])
     def test_malformed_param_exits_2(self, tmp_path, capsys, experiment, params, name):
         man = write_manifest(tmp_path, experiment=experiment, params=params)
         assert run("mc", "--manifest", man) == 2
         err = capsys.readouterr().err
         assert "rlab: error:" in err and f"params.{name}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_threads_exits_2(self, tmp_path, capsys, threads):
+        man = write_manifest(tmp_path)
+        assert run("mc", "--manifest", man, "--threads", threads) == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_bad_manifest_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -278,8 +308,11 @@ class TestMc:
         json.dumps({"master_seed": 99, "replicates": 10, "horizon": 10,
                     "spec": "sqrt_block", "experiment": "q1_estimate",
                     "params": {"n": 5}}),
+        json.dumps({"master_seed": 99, "replicates": 10, "horizon": 10,
+                    "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
+                    "params": {"n": 5}, "extra": 1}),
     ], ids=["truncated", "not_object", "fractional_replicates", "params_not_object",
-            "spec_not_object"])
+            "spec_not_object", "unknown_key"])
     def test_malformed_manifest_exits_2(self, tmp_path, body, capsys):
         path = tmp_path / "bad.json"
         path.write_text(body)
@@ -325,6 +358,26 @@ class TestVerifyCommand:
         res = load(out)["result"]
         assert res["cases_run"] > 0 and res["failures"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "local_clt", "--max-n", 100],
+        ["--suite", "elo", "--cases", 3],
+        ["--suite", "exponent_fit", "--max-m", 5],
+    ], ids=["local_clt_max_n", "elo_cases", "exponent_fit_max_m"])
+    def test_knob_the_suite_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "v.json"
+        assert run("verify", *argv, "--out", out) == 2
+        assert "does not read --" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_suite_takes_seed(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(rlab.verify, "SUITES", {
+            name: lambda seed=0, **_: seen.append(seed) or VerifySuiteResult("x", 1)
+            for name in rlab.verify.SUITES})
+        for name in rlab.verify.SUITES:
+            assert run("verify", "--suite", name, "--seed", 5) == 0
+        assert seen == [5] * len(rlab.verify.SUITES)
+
     def test_failures_exit_1(self, tmp_path, monkeypatch):
         def fake(name, **kw):
             return VerifySuiteResult("elo", 1, failures=["case x"])
@@ -341,19 +394,25 @@ class TestArgparseContract:
             run("dist", "--bogus")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--spec", "s.json", "--n", 3, "--exact"],
+        ["gen", "--spec", "s.json", "--n", 3, "--format", "csv"],
+        ["dist", "--seq", "s.txt", "--seed", 1],
+        ["fit", "--points", "p.csv", "--threads", 2],
+        ["bounds", "--exponent", "--alpha", 1, "--exact"],
+        ["mc", "--manifest", "m.json", "--seed", 1],
+        ["verify", "--suite", "elo", "--threads", 2],
+    ], ids=["gen_exact", "gen_format", "dist_seed", "fit_threads", "bounds_exact",
+            "mc_seed", "verify_threads"])
+    def test_flag_of_another_subcommand_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
-
-
-MC_CASES = {
-    "interval_hits": {"params": {"C": 0, "windows": [[1, 4], [5, 9]]}},
-    "q1_estimate": {"params": {"n": 6}},
-    "embed2d": {"params": {"k": 1}},
-    "coupling": {"params": {"d": 1.0, "epsilon": 0.1},
-                 "spec": {"family": "power", "alpha": 0.5}},
-}
 
 
 def oracle(report):

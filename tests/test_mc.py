@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
-from rlab.mc import (EventStats, McRunManifest, RecurrenceStats, block_pair_trace,
-                     embed_2d, estimate_interval_hits, estimate_q1, fit_exponent,
-                     kochen_stone_estimate, replay_final_gap, simulate_coupling,
-                     simulate_walk)
+from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
+                     block_pair_trace, embed_2d, estimate_interval_hits, estimate_q1,
+                     fit_exponent, kochen_stone_estimate, replay_final_gap,
+                     run_experiment, simulate_coupling, simulate_walk)
 from rlab.sequences import StepSequenceSpec, generate, recurrence_event_window
 
 
@@ -120,6 +120,45 @@ class TestIntervalHits:
         scaled = [(k + 1) * stats.per_event[k].p_hat for k in (1, 2, 3)]
         assert all(stats.per_event[k].p_hat > 0 for k in (1, 2, 3))
         assert max(scaled) / min(scaled) <= 5.0
+
+
+class TestSamplerAgainstFreshStreams:
+    """The estimators draw signs with one rewinding sampler per worker; their
+    counts equal those taken from `simulate_walk`, which keys a fresh stream
+    per replicate. 4,100 replicates make three chunks, so two threads share
+    the work."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_interval_hits(self, threads):
+        man = manifest(replicates=4100, horizon=40, seed=17)
+        windows = [(1, 4), (5, 9), (10, 40)]
+        traces = [simulate_walk(man, rep) for rep in range(man.replicates)]
+        hits = np.array([[np.any(np.abs(t[s:e + 1]) <= 1) for s, e in windows]
+                         for t in traces])
+        stats = estimate_interval_hits(man, 1, windows, threads=threads)
+        assert [stats.per_event[j].hits for j in (1, 2, 3)] == hits.sum(axis=0).tolist()
+        assert stats.joint == {(j + 1, k + 1): int(np.sum(hits[:, j] & hits[:, k]))
+                               for j in range(3) for k in range(j + 1, 3)}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spec_kw", [
+        {"family": "sqrt_block"},
+        # dyadic steps: every partial sum is exact in either summation order
+        {"family": "custom", "custom_values": (0.25, 0.5, 0.375, 1.125, 0.0625, 2.5)},
+    ], ids=["integer", "real"])
+    def test_q1(self, threads, spec_kw):
+        n = 6
+        man = manifest(replicates=4100, horizon=n, seed=18, experiment="q1_estimate",
+                       **spec_kw)
+        ends = np.array([simulate_walk(man, rep)[n] for rep in range(man.replicates)])
+        if ends.dtype.kind == "i":
+            peak = np.unique(ends, return_counts=True)[1].max()
+        else:  # the most values in 16 consecutive 1/16-cells
+            cells = np.floor(ends * 16).astype(np.int64)
+            peak = max(np.count_nonzero((cells >= c) & (cells <= c + 15))
+                       for c in np.unique(cells))
+        est = estimate_q1(man, n, threads=threads)
+        assert est.q1_hat == peak / man.replicates
 
 
 class TestEstimateQ1:
@@ -293,6 +332,30 @@ class TestManifest:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigurationError):
             manifest(experiment="bogus")
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"params\.eps"):
+            McRunManifest(master_seed=1, replicates=5, horizon=4,
+                          spec=StepSequenceSpec("power", alpha=0.5),
+                          experiment="coupling", params={"d": 1.0, "eps": 0.5})
+
+    def test_unknown_top_level_key_rejected(self):
+        body = manifest(replicates=7, horizon=9).to_dict()
+        body["extra"] = 1
+        with pytest.raises(ConfigurationError, match="extra"):
+            McRunManifest.from_dict(body)
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_params_checked_when_run(self, experiment):
+        # every name the experiment reads is accepted by the manifest ...
+        McRunManifest(master_seed=1, replicates=5, horizon=4,
+                      spec=StepSequenceSpec("sqrt_block"), experiment=experiment,
+                      params=dict.fromkeys(EXPERIMENTS[experiment], "x"))
+        # ... and empty params stay valid until the experiment runs
+        man = manifest(replicates=5, horizon=4, experiment=experiment)
+        if experiment in ("interval_hits", "q1_estimate"):
+            with pytest.raises(ConfigurationError, match="params"):
+                run_experiment(man)
 
     def test_missing_keys(self):
         with pytest.raises(ConfigurationError):
