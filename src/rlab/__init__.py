@@ -13,7 +13,7 @@ from .exact import (ConcentrationQuery, ExactPMF, ModularPMF, SummaryMoments,
                     abs_tail_prob, concentration_q, convolve, modular_walk_pmf,
                     pmf_from_atoms, q1_profile, reduce_mod, summary_moments,
                     tail_prob, walk_pmf)
-from .bounds import (BoundReport, ExponentQuery, LocalCltApprox, anti_exponent_f,
+from .bounds import (BoundReport, ExponentQuery, anti_exponent_f,
                      branch_boundary, combine_scales_rhs, cosine_product_bound,
                      elo_bound, hoeffding_tail, kochen_stone_ratio,
                      local_clt_approx, lower_anti_floor, make_report,

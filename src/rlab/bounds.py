@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
+from .exact import residue_coefficients
 
 SATISFACTION_TOL = 1e-12
 # Above this n, central binomial masses switch from exact rationals to log-gamma.
@@ -141,23 +143,19 @@ def cosine_product_bound(m: int, steps, all_ones: bool = False) -> float:
     """
     if m < 2:
         raise DomainError("modulus m must be >= 2")
-    blist = []
+    counts = Counter()
     for idx, raw in enumerate(steps, 1):
         b = int(raw)
         if b != raw or b <= 0:
             raise DomainError(f"step {idx} must be a positive integer, got {raw!r}")
         if math.gcd(b, m) != 1:
             raise DomainError(f"step {idx} (= {b}) shares a factor with modulus {m}")
-        blist.append(b)
-    if not blist:
+        counts[b % m] += 1
+    if not counts:
         raise DomainError("at least one step is required")
-    lam = np.arange(m)
-    if all_ones:
-        prods = np.abs(np.cos(2.0 * np.pi * lam / m)) ** len(blist)
-    else:
-        mat = np.abs(np.cos(2.0 * np.pi * np.outer(np.mod(blist, m), lam) / m))
-        prods = np.prod(mat, axis=0)
-    return float(np.sum(prods) / m)
+    half = np.abs(residue_coefficients(m, {1: sum(counts.values())} if all_ones else counts))
+    # lambda and m - lambda share a coefficient
+    return float((half.sum() + half[1:(m + 1) // 2].sum()) / m)
 
 
 def lower_anti_floor(variance: float) -> float:
@@ -181,13 +179,7 @@ def hoeffding_tail(l2_norm: float, t: float) -> float:
     return math.exp(-t * t / 2.0)
 
 
-@dataclass
-class LocalCltApprox:
-    approx: float
-    parity_ok: bool
-
-
-def local_clt_approx(n: int, x: int) -> LocalCltApprox:
+def local_clt_approx(n: int, x: int) -> float:
     """Gaussian local approximation exp(-x**2/(2n)) / sqrt(pi n / 2) of P(X_n = x)."""
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -195,8 +187,7 @@ def local_clt_approx(n: int, x: int) -> LocalCltApprox:
         raise DomainError(f"parity mismatch: x={x} with n={n} has exact probability 0")
     if abs(x) > n:
         raise DomainError(f"|x|={abs(x)} exceeds the walk range n={n}")
-    return LocalCltApprox(math.exp(-x * x / (2.0 * n)) / math.sqrt(math.pi * n / 2.0),
-                          True)
+    return math.exp(-x * x / (2.0 * n)) / math.sqrt(math.pi * n / 2.0)
 
 
 def combine_scales_rhs(qr_a: float, qs_b: float, tail_a_at_s: float) -> float:

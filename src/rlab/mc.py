@@ -267,8 +267,7 @@ def kochen_stone_estimate(stats: RecurrenceStats, up_to_k: int) -> dict:
             "ratio": min(1.0, z_mean * z_mean / z_second)}
 
 
-def estimate_q1(manifest: McRunManifest, n: int, replicates: int | None = None,
-                threads: int = 1) -> Q1Estimate:
+def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate:
     """Empirical maximum unit-window frequency of X_n over the replicates.
 
     Integer-step walks anchor the windows at integers (each window holds one
@@ -277,7 +276,7 @@ def estimate_q1(manifest: McRunManifest, n: int, replicates: int | None = None,
     """
     if n < 1 or n > manifest.horizon:
         raise ConfigurationError(f"n={n} outside 1..{manifest.horizon}")
-    R = manifest.replicates if replicates is None else replicates
+    R = manifest.replicates
     steps = _steps_array(manifest)[:n]
     integral = steps.dtype.kind == "i"
 

@@ -196,7 +196,7 @@ def suite_local_clt(n_max: int = 10_000, **_) -> VerifySuiteResult:
     best = 0.0
     raw_max = 0.0
     for n in range(2, n_max + 1, 2):
-        approx = bounds.local_clt_approx(n, 0).approx
+        approx = bounds.local_clt_approx(n, 0)
         err = n * abs(bounds.rademacher_point_mass(n, 0) - approx)
         raw_max = max(raw_max, err)
         best = max(best, err)

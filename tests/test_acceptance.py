@@ -181,7 +181,7 @@ def test_criterion_09_local_clt_constant():
     recorded = []
     best = 0.0
     for n in range(2, 10_001, 2):
-        approx = local_clt_approx(n, 0).approx
+        approx = local_clt_approx(n, 0)
         err = n * abs(rademacher_point_mass(n, 0) - approx)
         best = max(best, err)
         recorded.append(best)

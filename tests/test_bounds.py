@@ -78,6 +78,16 @@ class TestCosineProduct:
         assert val <= top + 1e-12
         assert top <= modular_elo_bound(m, n) + 1e-10
 
+    @given(st.integers(2, 64), st.data(), st.booleans())
+    def test_matches_outer_product(self, m, data, all_ones):
+        coprime = [b for b in range(1, 4 * m) if math.gcd(b, m) == 1]
+        steps = data.draw(st.lists(st.sampled_from(coprime), min_size=1, max_size=60))
+        # oracle: one |cos| row per step, multiplied down the columns
+        lam = np.arange(m)
+        mult = [1] * len(steps) if all_ones else steps
+        want = np.prod(np.abs(np.cos(2.0 * np.pi * np.outer(mult, lam) / m)), axis=0).sum() / m
+        assert cosine_product_bound(m, steps, all_ones=all_ones) == pytest.approx(want, abs=1e-12)
+
     def test_domination_chain_at_long_horizon(self):
         import numpy as np
         from rlab.exact import modular_walk_pmf
@@ -172,17 +182,17 @@ class TestHoeffding:
 
 class TestLocalClt:
     def test_n2_origin(self):
-        approx = local_clt_approx(2, 0).approx
+        approx = local_clt_approx(2, 0)
         assert approx == pytest.approx(1 / math.sqrt(math.pi), abs=1e-12)
         assert abs(0.5 - approx) == pytest.approx(0.0642, abs=1e-4)
 
     def test_n100_origin(self):
-        approx = local_clt_approx(100, 0).approx
+        approx = local_clt_approx(100, 0)
         assert approx == pytest.approx(0.0797885, abs=1e-7)
         assert rademacher_point_mass(100, 0) == pytest.approx(0.0795892, abs=1e-7)
 
     def test_endpoint(self):
-        approx = local_clt_approx(4, 4).approx
+        approx = local_clt_approx(4, 4)
         assert approx == pytest.approx(math.exp(-2) / math.sqrt(2 * math.pi), abs=1e-12)
         assert rademacher_point_mass(4, 4) == 1 / 16
 

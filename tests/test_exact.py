@@ -24,6 +24,20 @@ kernel_step_lists = st.lists(
 SWITCHING = [1, 100] + [1] * 14
 POWERS_OF_THREE = [3**k for k in range(12)]
 SPARSE_POWERS_OF_THREE = [3**k for k in range(4, 16)] + [1]
+# residue laws: many steps per residue class, up to 40 steps so that every
+# reachable residue keeps a mass far above float rounding
+residue_step_lists = st.lists(st.one_of(st.integers(0, 40), st.sampled_from([1, 2, 3])),
+                              min_size=1, max_size=40)
+
+
+def cyclic_modular_law(steps, m):
+    """Oracle: the law on Z/mZ by one rotation-and-average per step."""
+    probs = np.zeros(m)
+    probs[0] = 1.0
+    for a in steps:
+        if a % m:
+            probs = 0.5 * (np.roll(probs, a % m) + np.roll(probs, -(a % m)))
+    return probs
 
 
 class TestWalkPmf:
@@ -241,7 +255,22 @@ class TestModular:
     def test_listed_examples(self):
         assert modular_walk_pmf([1, 1], 4).probs.tolist() == [0.5, 0.0, 0.5, 0.0]
         assert modular_walk_pmf([1], 3).probs.tolist() == [0.0, 0.5, 0.5]
+        assert modular_walk_pmf([1], np.int64(3)).probs.tolist() == [0.0, 0.5, 0.5]
         assert modular_walk_pmf([2] * 9, 2).probs.tolist() == [1.0, 0.0]
+        # unreachable residues are exactly 0, not the FFT's tiny values of either sign
+        odd = np.random.default_rng(8).choice([1, 3, 5, 7, 9, 11], size=100).tolist()
+        probs = modular_walk_pmf(odd, 8).probs
+        assert probs[1::2].tolist() == [0.0] * 4
+        assert np.max(np.abs(probs - cyclic_modular_law(odd, 8))) < 1e-12
+        # residue 60 has mass 2**-60, below rounding: it may read 0, never < 0
+        probs = modular_walk_pmf([1] * 60, 128).probs
+        assert probs.min() >= 0.0 and not np.signbit(probs).any()
+        assert np.max(np.abs(probs - cyclic_modular_law([1] * 60, 128))) < 1e-15
+        # the reach mask at a large modulus
+        steps = [1, 2, 3, 4000, 9000]
+        probs = modular_walk_pmf(steps, 4099).probs
+        assert probs.tolist() == cyclic_modular_law(steps, 4099).tolist()
+        assert probs.tolist() == reduce_mod(walk_pmf(steps), 4099).probs.tolist()
 
     def test_modulus_too_small(self):
         with pytest.raises(DomainError):
@@ -254,18 +283,18 @@ class TestModular:
         reduced = reduce_mod(walk_pmf(steps), m).probs
         assert np.max(np.abs(direct - reduced)) < 1e-10
 
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=20),
-           st.integers(2, 64))
+    @given(residue_step_lists, st.integers(2, 64))
     def test_spectral_consistency(self, steps, m):
-        cyclic = modular_walk_pmf(steps, m, method="cyclic").probs
-        spectral = modular_walk_pmf(steps, m, method="spectral").probs
-        assert np.max(np.abs(cyclic - spectral)) < 1e-10
+        spectral = modular_walk_pmf(steps, m).probs
+        for oracle in (cyclic_modular_law(steps, m), reduce_mod(walk_pmf(steps), m).probs):
+            assert np.max(np.abs(spectral - oracle)) < 1e-12
+            assert np.array_equal(spectral == 0.0, oracle == 0.0)
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=15), st.integers(2, 32))
     def test_normalized(self, steps, m):
         probs = modular_walk_pmf(steps, m).probs
         assert abs(probs.sum() - 1.0) < 1e-12
-        assert probs.min() >= -1e-15
+        assert probs.min() >= 0.0
 
 
 class TestMomentsAndTails:
