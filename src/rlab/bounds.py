@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,19 +142,33 @@ def cosine_product_bound(m: int, steps, all_ones: bool = False) -> float:
     """
     if m < 2:
         raise DomainError("modulus m must be >= 2")
-    counts = Counter()
+    # gcd(b, m) depends only on b % m: check each residue at its first step
+    counts = {}
+    first = {}
     for idx, raw in enumerate(steps, 1):
         b = int(raw)
         if b != raw or b <= 0:
+            _require_coprime(m, first)
             raise DomainError(f"step {idx} must be a positive integer, got {raw!r}")
-        if math.gcd(b, m) != 1:
-            raise DomainError(f"step {idx} (= {b}) shares a factor with modulus {m}")
-        counts[b % m] += 1
+        r = b % m
+        if r in counts:
+            counts[r] += 1
+        else:
+            counts[r] = 1
+            first[r] = idx, b
+    _require_coprime(m, first)
     if not counts:
         raise DomainError("at least one step is required")
     half = np.abs(residue_coefficients(m, {1: sum(counts.values())} if all_ones else counts))
     # lambda and m - lambda share a coefficient
     return float((half.sum() + half[1:(m + 1) // 2].sum()) / m)
+
+
+def _require_coprime(m: int, first: dict) -> None:
+    """Raise for the first step, in step order, that shares a factor with m."""
+    for r, (idx, b) in first.items():
+        if math.gcd(r, m) != 1:
+            raise DomainError(f"step {idx} (= {b}) shares a factor with modulus {m}")
 
 
 def lower_anti_floor(variance: float) -> float:

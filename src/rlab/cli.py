@@ -2,7 +2,8 @@
 persist reproducible reports.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 infeasible computation. Reports are JSON written atomically (temp file
+3 infeasible computation, 4 internal error (an unexpected exception, printed
+with its traceback). Reports are JSON written atomically (temp file
 plus rename) and embed the full manifest and tool version; `--format csv`
 writes a plot-ready projection instead. Logarithms are natural throughout.
 """
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -476,6 +478,11 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"rlab: infeasible: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # exit 1 would read as "verification failed"
+        print(f"rlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

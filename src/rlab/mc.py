@@ -185,12 +185,9 @@ def _chunks(total: int, width: int):
 
 
 def _sign_matrix(manifest: McRunManifest, chunk, size: int) -> np.ndarray:
-    """The first `size` signs of each replicate in `chunk`, one row each."""
-    sampler = SubstreamSampler()
-    signs = np.empty((len(chunk), size), dtype=np.int64)
-    for row, rep in enumerate(chunk):
-        signs[row] = sampler.signs(manifest.master_seed, rep, size)
-    return signs
+    """The first `size` signs of each replicate in `chunk`, one int8 row each."""
+    signs = SubstreamSampler().signs(manifest.master_seed, chunk, size)
+    return signs.reshape(len(chunk), size)
 
 
 def _map_chunks(worker, total, width, threads):
@@ -221,7 +218,8 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
     K = len(windows)
 
     def worker(chunk):
-        pos = np.cumsum(_sign_matrix(manifest, chunk, manifest.horizon) * steps, axis=1)
+        pos = _sign_matrix(manifest, chunk, manifest.horizon) * steps
+        np.cumsum(pos, axis=1, out=pos)
         hits = np.empty((len(chunk), K), dtype=bool)
         for j, (s, e) in enumerate(windows):
             hits[:, j] = (np.abs(pos[:, s - 1:e]) <= C).any(axis=1)

@@ -3,6 +3,12 @@
 Every Monte Carlo consumer derives an independent substream per replicate
 from `(master_seed, replicate)` via the Philox counter-based generator, so
 results do not depend on replicate execution order or worker count.
+
+`SubstreamSampler.signs` reads the signs from raw Philox words: sign i is
+bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half first, the
+same bit numpy's bounded-integer code (Lemire's method, which never rejects
+for range 2) keeps in `rademacher_signs`; the mapping depends on that numpy
+code, whose version `GENERATOR_VERSION` already records.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ def rademacher_signs(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 class SubstreamSampler:
-    """Reusable generator that rewinds to any (master_seed, index) substream.
+    """Reusable Philox that rewinds to any (master_seed, index) substream.
 
     Re-keying a single Philox is several times cheaper than constructing a
     fresh generator per replicate and draws bit-identical values. Not thread
@@ -41,21 +47,35 @@ class SubstreamSampler:
 
     def __init__(self):
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
 
-    def _rewind(self, master_seed: int, index: int) -> np.random.Generator:
+    def signs(self, master_seed: int, indices, size: int) -> np.ndarray:
+        """The first `size` signs of each substream in `indices` as int8.
+
+        Row-major and flat: replicate `indices[r]` owns entries
+        `r * size .. (r + 1) * size - 1`, equal to
+        `rademacher_signs(substream(master_seed, indices[r]), size)`.
+        """
+        words = -(-size // 2)
         state = self._bitgen.state
         state["state"]["counter"][:] = 0
-        state["state"]["key"][0] = master_seed & 0xFFFFFFFFFFFFFFFF
-        state["state"]["key"][1] = index & 0xFFFFFFFFFFFFFFFF
+        key = state["state"]["key"]
+        key[0] = master_seed & 0xFFFFFFFFFFFFFFFF
         state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        return self._gen
-
-    def signs(self, master_seed: int, index: int, size: int) -> np.ndarray:
-        return rademacher_signs(self._rewind(master_seed, index), size)
+        raw = np.empty((len(indices), words), dtype=np.uint64)
+        for row, index in enumerate(indices):
+            key[1] = index & 0xFFFFFFFFFFFFFFFF
+            self._bitgen.state = state
+            raw[row] = self._bitgen.random_raw(words)
+        out = np.empty((len(indices), size), dtype=np.int8)
+        bits = out.view(np.uint8)
+        # (word >> 30) & 2 is twice bit 31, the low half's sign bit, and
+        # (word >> 62) & 2 twice bit 63, the high half's; the uint8 cast keeps
+        # the low byte, so one mask serves both. An odd size skips the last high half.
+        np.right_shift(raw, 30, out=bits[:, 0::2], casting="unsafe")
+        np.right_shift(raw[:, : size // 2], 62, out=bits[:, 1::2], casting="unsafe")
+        bits &= 2
+        out -= 1
+        return out.reshape(-1)
 
 
 def wilson_interval(hits: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

@@ -69,6 +69,21 @@ class TestCosineProduct:
         with pytest.raises(DomainError, match="step 2"):
             cosine_product_bound(6, [1, 3])
 
+    @pytest.mark.parametrize("steps, message", [
+        # residue 3 is checked once, but the error names its first step
+        ([5, 7, 9, 5, 3, 2], "step 3 (= 9) shares a factor with modulus 6"),
+        ([1, 4, 3, 10], "step 2 (= 4) shares a factor with modulus 6"),
+        ([1, 6], "step 2 (= 6) shares a factor with modulus 6"),
+        # whichever offending step comes first is the one reported
+        ([1, 3, 0.5], "step 2 (= 3) shares a factor with modulus 6"),
+        ([1, 0.5, 3], "step 2 must be a positive integer, got 0.5"),
+        ([1, 5, -1, 2], "step 3 must be a positive integer, got -1"),
+    ])
+    def test_first_offending_step_named(self, steps, message):
+        with pytest.raises(DomainError) as exc:
+            cosine_product_bound(6, steps)
+        assert str(exc.value) == message
+
     @given(st.integers(3, 32), st.integers(1, 12), st.data())
     def test_all_ones_maximises(self, m, n, data):
         coprime = [b for b in range(1, 4 * m) if math.gcd(b, m) == 1]

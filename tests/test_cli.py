@@ -388,6 +388,19 @@ class TestVerifyCommand:
         assert load(out)["result"]["failures"] == ["case x"]
 
 
+class TestInternalError:
+    def test_unexpected_exception_exits_4_with_traceback(self, tmp_path, spec_file,
+                                                         monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(rlab.cli, "cmd_gen", broken)
+        assert run("gen", "--spec", spec_file, "--n", 5, "--out", tmp_path / "s.txt") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("rlab: internal error: RuntimeError: boom\n")
+        assert "Traceback (most recent call last)" in err
+        assert 'raise RuntimeError("boom")' in err
+
+
 class TestArgparseContract:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
                      fit_exponent, kochen_stone_estimate, replay_final_gap,
                      run_experiment, simulate_coupling, simulate_walk)
 from rlab.sequences import StepSequenceSpec, generate, recurrence_event_window
+from rlab.streams import wilson_interval
 
 
 def manifest(replicates=100, horizon=10, family="sqrt_block", seed=42,
@@ -139,6 +140,26 @@ class TestSamplerAgainstFreshStreams:
         assert [stats.per_event[j].hits for j in (1, 2, 3)] == hits.sum(axis=0).tolist()
         assert stats.joint == {(j + 1, k + 1): int(np.sum(hits[:, j] & hits[:, k]))
                                for j in range(3) for k in range(j + 1, 3)}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_interval_hits_real_steps(self, threads):
+        # steps n**0.5 are not dyadic: the chunked in-place cumulative sum must
+        # add in the same order as simulate_walk for the hits to agree
+        man = manifest(replicates=4100, horizon=40, seed=19, family="power", alpha=0.5)
+        windows = [(1, 6), (7, 15), (16, 40)]
+        C = 1.5
+        traces = [simulate_walk(man, rep) for rep in range(man.replicates)]
+        assert traces[0].dtype == np.float64
+        hits = np.array([[np.any(np.abs(t[s:e + 1]) <= C) for s, e in windows]
+                         for t in traces])
+        R = man.replicates
+        want = RecurrenceStats(
+            {j + 1: EventStats(int(h), R, int(h) / R, *wilson_interval(int(h), R))
+             for j, h in enumerate(hits.sum(axis=0))},
+            {(j + 1, k + 1): int(np.sum(hits[:, j] & hits[:, k]))
+             for j in range(3) for k in range(j + 1, 3)},
+            R)
+        assert estimate_interval_hits(man, C, windows, threads=threads) == want
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("spec_kw", [

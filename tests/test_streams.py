@@ -17,13 +17,26 @@ class TestSubstreams:
         b = rademacher_signs(substream(7, 4), 100)
         assert not np.array_equal(a, b)
 
-    @given(st.integers(0, 2 ** 63), st.integers(0, 5000), st.integers(1, 64))
-    def test_sampler_matches_fresh_generator(self, seed, rep, size):
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.lists(st.one_of(st.integers(0, 5000), st.integers(2 ** 32, 2 ** 64 - 1)),
+                    min_size=1, max_size=4),
+           st.integers(1, 3000))
+    def test_sampler_matches_fresh_generator(self, seed, reps, size):
+        # the raw-word path reads bit 31 of each 32-bit half of Philox output,
+        # the bit `integers(0, 2)` keeps; odd sizes leave a half-word unused
         sampler = SubstreamSampler()
-        want = rademacher_signs(substream(seed, rep), size)
-        assert np.array_equal(sampler.signs(seed, rep, size), want)
-        # rewinding after use still reproduces the stream from the start
-        assert np.array_equal(sampler.signs(seed, rep, size), want)
+        want = np.concatenate([rademacher_signs(substream(seed, rep), size) for rep in reps])
+        got = sampler.signs(seed, reps, size)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+        # rewinding after use still reproduces the streams from the start
+        assert np.array_equal(sampler.signs(seed, reps, size), want)
+
+    def test_sampler_masks_keys_like_substream(self):
+        sampler = SubstreamSampler()
+        for seed, rep in [(-1, 2 ** 64 + 5), (2 ** 70 + 3, -2), (2 ** 64 - 1, 2 ** 33)]:
+            want = rademacher_signs(substream(seed, rep), 9)
+            assert np.array_equal(sampler.signs(seed, [rep], 9), want)
 
     def test_signs_are_plus_minus_one(self):
         s = rademacher_signs(substream(1, 1), 1000)
