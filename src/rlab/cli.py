@@ -264,15 +264,12 @@ def cmd_dist(args) -> int:
         return 0
     pmf = exact.walk_pmf(steps, exact=bool(args.exact))
     query = exact.concentration_q(pmf, args.q)
-    if pmf.exact:
-        support = [int(v) for v in pmf.support]
-        probs = [f"{p.numerator}/{p.denominator}" for p in pmf.probs]
-    else:
-        support, probs = pmf.support.tolist(), pmf.probs.tolist()
+    probs = ([f"{p.numerator}/{p.denominator}" for p in pmf.probs] if pmf.exact
+             else pmf.probs.tolist())
     result = {
         "kind": "dist",
         "steps_applied": pmf.steps_applied,
-        "support": support,
+        "support": pmf.support.tolist(),
         "probs": probs,
         "q": {"r": args.q,
               "value": (f"{query.result.numerator}/{query.result.denominator}"

@@ -12,6 +12,10 @@ again at every step from the fill it will have.
 Float mode halves the weights at every step. Rational mode (probabilities
 k / 2**n with exact integer numerators) runs the same kernel on int64 sign
 counts; it backs the enumeration oracles and is limited to 40 nonzero steps.
+Both modes answer every query with the same numpy code on the weights: a sum
+of counts is at most 2**40, so `math.fsum` and `cumsum` give it exactly, and
+one Fraction is built per answer. Support values are int64 in both modes, so
+the steps must sum to less than 2**62.
 
 The law on Z/mZ depends only on the number of steps in each nonzero residue
 class: `residue_coefficients` gives its Fourier coefficients, which
@@ -40,40 +44,53 @@ _INT64_GUARD = 1 << 62
 
 @dataclass
 class ExactPMF:
-    """Sparse exact law of a walk position on the integers.
+    """Exact law of a walk position on the integers, held as sorted int64 atoms.
 
-    `support` is sorted; `probs` matches it. In float mode these are numpy
-    arrays; in rational mode plain lists with Fraction probabilities.
+    `weights` matches `support`: float64 probabilities in float mode
+    (`denominator` None), or int64 sign counts over `denominator` = 2**n in
+    rational mode. Every query runs on the weights and turns its answer into a
+    float or a Fraction through `value`, so both modes share one code path.
     """
 
-    support: object
-    probs: object
+    support: np.ndarray
+    weights: np.ndarray
     steps_applied: int
-    exact: bool = False
+    denominator: int | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.denominator is not None
+
+    @property
+    def one(self):
+        """The weight of probability 1."""
+        return self.denominator or 1
+
+    @property
+    def probs(self):
+        """The probabilities: the float array, or a list of Fractions."""
+        if self.denominator is None:
+            return self.weights
+        return [Fraction(c, self.denominator) for c in self.weights.tolist()]
+
+    def value(self, w):
+        """A weight, or a sum of weights, as a float or an exact Fraction."""
+        return float(w) if self.denominator is None else Fraction(int(w), self.denominator)
 
     def __len__(self) -> int:
         return len(self.support)
 
     def prob_at(self, value: int):
-        if self.exact:
-            try:
-                return self.probs[self.support.index(value)]
-            except ValueError:
-                return Fraction(0)
         idx = int(np.searchsorted(self.support, value))
         if idx < len(self.support) and self.support[idx] == value:
-            return float(self.probs[idx])
-        return 0.0
+            return self.value(self.weights[idx])
+        return self.value(0)
 
     def max_atom(self):
-        if self.exact:
-            return max(self.probs)
-        return float(np.max(self.probs))
+        return self.value(np.max(self.weights))
 
     def total_mass(self):
-        if self.exact:
-            return sum(self.probs)
-        return float(math.fsum(self.probs))
+        return self.value(math.fsum(self.weights))
 
     def as_dict(self) -> dict:
         return dict(zip((int(v) for v in self.support), self.probs))
@@ -142,11 +159,8 @@ def walk_pmf(steps, exact: bool = False, cap: int | None = None) -> ExactPMF:
         raise ConfigurationError(
             f"rational mode supports at most {EXACT_MODE_MAX_STEPS} nonzero steps "
             f"(got {nonzero})")
-    support, probs = _lattice_law(int_steps, limit, exact)
-    if exact:
-        denom = 2**nonzero
-        probs = [Fraction(c, denom) for c in probs.tolist()]
-    return ExactPMF(support, probs, steps_applied=len(int_steps), exact=exact)
+    support, weights = _lattice_law(int_steps, limit, exact)
+    return ExactPMF(support, weights, len(int_steps), 2**nonzero if exact else None)
 
 
 def _lattice_law(int_steps, limit, exact=False, on_step=None):
@@ -166,8 +180,7 @@ def _lattice_law(int_steps, limit, exact=False, on_step=None):
     for idx, a in enumerate(int_steps, 1):
         if a:
             total += a
-            # rational support values are built as Python ints from the slots
-            if (total // g if exact else total) >= _INT64_GUARD:
+            if total >= _INT64_GUARD:
                 raise InfeasibleError(
                     f"step {idx}: support values would overflow 64-bit integers")
             s, width = a // g, total // g + 1
@@ -213,42 +226,35 @@ def _lattice_law(int_steps, limit, exact=False, on_step=None):
     if reach is not None:
         slots = np.flatnonzero(reach)
         weights = weights[slots]
-    if exact:
-        return [2 * g * k - total for k in slots.tolist()], weights
     return slots * (2 * g) - total, weights
 
 
-def pmf_from_atoms(atoms: dict, exact: bool = False, tol: float = 1e-9) -> ExactPMF:
-    """Build a PMF from a value -> probability mapping (must sum to 1)."""
+def pmf_from_atoms(atoms: dict, tol: float = 1e-9) -> ExactPMF:
+    """Build a float-mode PMF from a value -> probability mapping (must sum to 1)."""
     if not atoms:
         raise DomainError("a PMF needs at least one atom")
     support = sorted(atoms)
     probs = [atoms[v] for v in support]
-    total = sum(probs) if exact else math.fsum(probs)
-    if abs(float(total) - 1.0) > tol:
-        raise DomainError(f"atom probabilities sum to {float(total)}, not 1")
-    if exact:
-        return ExactPMF(list(support), [Fraction(p) for p in probs], 0, exact=True)
+    total = math.fsum(probs)
+    if abs(total - 1.0) > tol:
+        raise DomainError(f"atom probabilities sum to {total}, not 1")
     return ExactPMF(np.asarray(support, dtype=np.int64),
-                    np.asarray(probs, dtype=np.float64), 0, exact=False)
+                    np.asarray(probs, dtype=np.float64), 0)
 
 
 def convolve(a: ExactPMF, b: ExactPMF) -> ExactPMF:
-    """Law of the sum of two independent integer PMFs."""
-    if a.exact != b.exact:
-        raise ConfigurationError("cannot convolve float-mode with rational-mode PMFs")
-    acc: dict[int, object] = {}
-    for v, p in zip(a.support, a.probs):
-        for w, q in zip(b.support, b.probs):
+    """Law of the sum of two independent float-mode integer PMFs."""
+    if a.exact or b.exact:
+        raise ConfigurationError("convolve takes float-mode PMFs, not rational ones")
+    acc: dict[int, float] = {}
+    for v, p in zip(a.support, a.weights):
+        for w, q in zip(b.support, b.weights):
             key = int(v) + int(w)
             acc[key] = acc.get(key, 0) + p * q
     support = sorted(acc)
-    if a.exact:
-        return ExactPMF(support, [acc[v] for v in support],
-                        a.steps_applied + b.steps_applied, exact=True)
     return ExactPMF(np.asarray(support, dtype=np.int64),
                     np.asarray([acc[v] for v in support], dtype=np.float64),
-                    a.steps_applied + b.steps_applied, exact=False)
+                    a.steps_applied + b.steps_applied)
 
 
 def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
@@ -256,33 +262,19 @@ def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
 
     For an integer-valued law and r = 1 this is the maximum point mass.
     """
-    if not r > 0:
-        raise DomainError("window width r must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("window width r must be positive and finite")
     w = math.ceil(r)  # lattice points a half-open window (x, x+r] can capture
-    if pmf.exact:
-        support = pmf.support
-        probs = pmf.probs
-        prefix = [Fraction(0)]
-        for p in probs:
-            prefix.append(prefix[-1] + p)
-        best, best_i = Fraction(-1), 0
-        j = 0
-        for i, v in enumerate(support):
-            if j < i:
-                j = i
-            while j + 1 < len(support) and support[j + 1] <= v + w - 1:
-                j += 1
-            mass = prefix[j + 1] - prefix[i]
-            if mass > best:
-                best, best_i = mass, i
-        return ConcentrationQuery(r, best, float(support[best_i] + (w - 1) - r))
     support = pmf.support
-    csum = np.concatenate(([0.0], np.cumsum(pmf.probs)))
-    ends = np.searchsorted(support, support + (w - 1), side="right")
+    # no window need pass the last atom, so the int64 ends cannot overflow
+    reach = min(w - 1, int(support[-1] - support[0]))
+    ends = np.searchsorted(support, np.minimum(support, support[-1] - reach) + reach,
+                           side="right")
+    csum = np.concatenate(([0], np.cumsum(pmf.weights)))
     masses = csum[ends] - csum[: support.size]
-    best_i = int(np.argmax(masses))
-    return ConcentrationQuery(r, float(masses[best_i]),
-                              float(support[best_i] + (w - 1) - r))
+    best_i = int(np.argmax(masses))  # the first maximum
+    return ConcentrationQuery(r, pmf.value(masses[best_i]),
+                              float(int(support[best_i]) + (w - 1) - r))
 
 
 def q1_profile(steps, cap: int | None = None) -> list[float]:
@@ -335,9 +327,7 @@ def reduce_mod(pmf: ExactPMF, m: int) -> ModularPMF:
     if m < 2:
         raise DomainError("modulus m must be >= 2")
     probs = np.zeros(m, dtype=np.float64)
-    support = np.asarray(pmf.support, dtype=np.int64)
-    weights = np.asarray([float(p) for p in pmf.probs], dtype=np.float64)
-    np.add.at(probs, support % m, weights)
+    np.add.at(probs, pmf.support % m, pmf.weights / pmf.one)
     return ModularPMF(m, probs)
 
 
@@ -356,19 +346,12 @@ def summary_moments(steps) -> SummaryMoments:
 
 def tail_prob(pmf: ExactPMF, t: float):
     """Right-tail mass P(X >= t)."""
-    if pmf.exact:
-        return sum((p for v, p in zip(pmf.support, pmf.probs) if v >= t), Fraction(0))
     idx = int(np.searchsorted(pmf.support, t, side="left"))
-    return float(math.fsum(pmf.probs[idx:]))
+    return pmf.value(math.fsum(pmf.weights[idx:]))
 
 
 def abs_tail_prob(pmf: ExactPMF, t: float):
     """Two-sided tail mass P(|X| >= t)."""
     if t <= 0:
-        return Fraction(1) if pmf.exact else 1.0
-    if pmf.exact:
-        return sum((p for v, p in zip(pmf.support, pmf.probs) if abs(v) >= t),
-                   Fraction(0))
-    support = np.asarray(pmf.support)
-    mask = np.abs(support) >= t
-    return float(math.fsum(np.asarray(pmf.probs)[mask]))
+        return pmf.value(pmf.one)
+    return pmf.value(math.fsum(pmf.weights[np.abs(pmf.support) >= t]))

@@ -279,13 +279,13 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     integral = steps.dtype.kind == "i"
 
     def worker(chunk):
-        values = _sign_matrix(manifest, chunk, n) @ steps
+        signs = _sign_matrix(manifest, chunk, n)
         if integral:
-            vals, cnts = np.unique(values, return_counts=True)
-        else:
-            vals, cnts = np.unique(np.floor(values * _REAL_STEP_GRID).astype(np.int64),
-                                   return_counts=True)
-        return vals, cnts
+            # einsum casts the int8 chunk block by block, where `@` copies it whole
+            return np.unique(np.einsum("ij,j->i", signs, steps), return_counts=True)
+        # real steps keep `@`: their results depend on its summation order
+        cells = np.floor((signs @ steps) * _REAL_STEP_GRID).astype(np.int64)
+        return np.unique(cells, return_counts=True)
 
     totals: dict[int, int] = {}
     for vals, cnts in _map_chunks(worker, R, n, threads):

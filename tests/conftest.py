@@ -17,14 +17,19 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def enumerate_signed_sums(steps):
-    """Independent oracle: all 2**n sign assignments, exact integer counts.
+    """Independent oracle: the sums of all 2**n sign assignments, exact integer
+    counts, with equal sums merged after every step so that 40 steps stay small.
 
     Returns (values, counts) with probability counts / 2**n.
     """
-    sums = np.zeros(1, dtype=np.int64)
+    values, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     for a in steps:
-        sums = np.concatenate([sums - a, sums + a])
-    return np.unique(sums, return_counts=True)
+        values, where = np.unique(np.concatenate([values - a, values + a]),
+                                  return_inverse=True)
+        merged = np.zeros(values.size, dtype=np.int64)
+        np.add.at(merged, where, np.concatenate([counts, counts]))
+        counts = merged
+    return values, counts
 
 
 @pytest.fixture(scope="session")

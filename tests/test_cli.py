@@ -121,6 +121,14 @@ class TestDist:
         err = capsys.readouterr().err
         assert "rlab: error:" in err and "'abc'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "rational"])
+    def test_support_beyond_int64_exits_3(self, tmp_path, mode):
+        seq = tmp_path / "huge.txt"
+        seq.write_text(f"{10**30}\n{3 * 10**30}\n")
+        out = tmp_path / "pmf.json"
+        assert run("dist", "--seq", seq, *mode, "--out", out) == 3
+        assert not out.exists()
+
     def test_exact_residues_rejected(self, tmp_path, seq_file):
         out = tmp_path / "mod.json"
         assert run("dist", "--seq", seq_file, "--n", 2, "--mod", 5, "--exact",

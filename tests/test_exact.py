@@ -72,6 +72,12 @@ class TestWalkPmf:
         with pytest.raises(ConfigurationError):
             walk_pmf([1] * 41, exact=True)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+    def test_support_beyond_int64_rejected(self, exact):
+        # the gcd makes this a 4-slot law, but its values need more than 64 bits
+        with pytest.raises(InfeasibleError, match="overflow 64-bit"):
+            walk_pmf([10**30, 3 * 10**30], exact=exact)
+
     @given(step_lists)
     def test_matches_enumeration_oracle(self, steps):
         values, counts = enumerate_signed_sums(steps)
@@ -118,7 +124,7 @@ class TestWalkPmf:
         # every probability is dyadic with at most 40 bits, so float mode is exact
         floats = walk_pmf(steps)
         rationals = walk_pmf(steps, exact=True)
-        assert list(floats.support) == rationals.support
+        assert floats.support.tolist() == rationals.support.tolist()
         assert [float(p) for p in rationals.probs] == floats.probs.tolist()
 
     @pytest.mark.parametrize("steps, forms", [
@@ -200,6 +206,19 @@ class TestConcentration:
     def test_non_positive_width_rejected(self):
         with pytest.raises(DomainError):
             concentration_q(walk_pmf([1]), 0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_width_rejected(self, r):
+        with pytest.raises(DomainError, match="finite"):
+            concentration_q(walk_pmf([1]), r)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+    def test_window_wider_than_int64_holds_everything(self, exact):
+        pmf = walk_pmf([1, 2, 3], exact=exact)
+        for r in (1e19, 1e300):
+            q = concentration_q(pmf, r)
+            assert q.result == 1 and type(q.result) is type(pmf.total_mass())
+            assert q.argmax_x == float(-6 + math.ceil(r) - 1 - r)
 
     @given(positive_step_lists, st.sampled_from([0.5, 1.0, 1.5, 2.0]),
            st.sampled_from([2, 3, 4]))
@@ -335,6 +354,46 @@ class TestMomentsAndTails:
         assert abs_tail_prob(pmf, 0) == 1.0
         assert abs_tail_prob(walk_pmf([1, 2]), 1.5) == 0.5
 
+    @given(kernel_step_lists, st.data())
+    def test_queries_match_enumeration_exactly(self, steps, data):
+        # rational answers are the oracle's Fractions; float answers are their
+        # float() exactly, since every probability here is dyadic with <= 40 bits
+        values, counts = enumerate_signed_sums(steps)
+        law = dict(zip(values.tolist(), counts.tolist()))
+        denom = 2 ** len(steps)  # a zero step doubles every count
+        rationals, floats = walk_pmf(steps, exact=True), walk_pmf(steps)
+
+        def check(query, counted):
+            want = Fraction(counted, denom)
+            got = query(rationals)
+            assert type(got) is Fraction and got == want
+            got = query(floats)
+            assert type(got) is float and got == float(want)
+
+        for r in (0.5, 1, 1.5, 2, 3):
+            # the heaviest window (x, x + r] whose lowest atom is v, first such v
+            w, best, first = math.ceil(r), -1, None
+            for v in law:
+                x = v + w - 1 - Fraction(r)
+                mass = sum(law.get(u, 0) for u in range(v, v + w) if x < u <= x + r)
+                if mass > best:
+                    best, first = mass, v
+            check(lambda pmf: concentration_q(pmf, r).result, best)
+            for pmf in (rationals, floats):
+                assert concentration_q(pmf, r).argmax_x == float(first + w - 1 - Fraction(r))
+        edge = max(abs(int(values[0])), abs(int(values[-1]))) + 2
+        ts = [0, -1.5] + data.draw(st.lists(
+            st.integers(-2 * edge, 2 * edge).map(lambda k: k / 2), min_size=1, max_size=5))
+        for t in ts:
+            check(lambda pmf: tail_prob(pmf, t), sum(c for v, c in law.items() if v >= t))
+            check(lambda pmf: abs_tail_prob(pmf, t),
+                  sum(c for v, c in law.items() if abs(v) >= t))
+        hits = data.draw(st.lists(st.sampled_from(sorted(law)), min_size=1, max_size=3))
+        for v in hits + [hits[0] + 1, edge, -edge]:
+            check(lambda pmf: pmf.prob_at(v), law.get(v, 0))
+        check(lambda pmf: pmf.max_atom(), max(law.values()))
+        check(lambda pmf: pmf.total_mass(), sum(law.values()))
+
     @given(step_lists, st.integers(-20, 20))
     def test_tail_matches_enumeration(self, steps, t):
         values, counts = enumerate_signed_sums(steps)
@@ -350,6 +409,8 @@ class TestPmfConstruction:
     def test_convolve_modes_must_match(self):
         with pytest.raises(ConfigurationError):
             convolve(walk_pmf([1]), walk_pmf([1], exact=True))
+        with pytest.raises(ConfigurationError):
+            convolve(walk_pmf([1], exact=True), walk_pmf([1], exact=True))
 
     def test_convolve_matches_walk(self):
         a, b = walk_pmf([1, 2]), walk_pmf([3])
