@@ -82,6 +82,8 @@ def branch_boundary(alpha: float) -> float:
 def anti_exponent_f(query: ExponentQuery) -> ExponentQuery:
     """Fill in f(alpha, delta), the decay exponent, and the active branch."""
     alpha, delta, gamma = query.alpha, query.delta, query.gamma
+    if not all(map(math.isfinite, (alpha, delta, gamma))):
+        raise DomainError("alpha, delta and gamma must be finite")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     if delta < 0:

@@ -282,6 +282,8 @@ def cmd_dist(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.exponent:
+        if args.alpha is None:
+            raise ConfigurationError("--exponent requires --alpha")
         query = bounds.anti_exponent_f(
             bounds.ExponentQuery(args.alpha, args.delta, args.gamma))
         inputs = {"alpha": args.alpha, "delta": args.delta, "gamma": args.gamma}
@@ -367,10 +369,14 @@ def _read_points(path: str):
         line = line.strip()
         if not line or line.lower().startswith(("n,", "#")):
             continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise ConfigurationError(f"{path}:{idx}: expected 'n,value'")
-        points.append((float(parts[0]), float(parts[1])))
+        try:
+            n, value = map(float, line.split(",")[:2])
+        except ValueError:
+            raise ConfigurationError(f"{path}:{idx}: expected 'n,value', "
+                                     f"not {line!r}") from None
+        if not (math.isfinite(n) and math.isfinite(value)):
+            raise ConfigurationError(f"{path}:{idx}: {line!r} is not finite")
+        points.append((n, value))
     return points
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
-from .sequences import (StepSequenceSpec, generate, integer_valued,
-                        recurrence_event_window)
+from .sequences import StepSequenceSpec, generate, recurrence_event_window
 from .streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
                       substream, wilson_interval)
 
@@ -149,8 +148,8 @@ class CoupledPair:
 
 def _steps_array(manifest: McRunManifest):
     steps = generate(manifest.spec, manifest.horizon)
-    if integer_valued(manifest.spec):
-        if sum(int(a) for a in steps) >= 1 << 62:
+    if all(type(a) is int for a in steps):
+        if sum(steps) >= 1 << 62:
             raise InfeasibleError(
                 "walk positions on this horizon would overflow 64-bit integers")
         return np.asarray(steps, dtype=np.int64)

@@ -2,7 +2,9 @@
 
 Every family is a pure function of (spec, n): the same spec always yields
 the identical prefix, and generate(spec, n) is a prefix of
-generate(spec, m) for n < m.
+generate(spec, m) for n < m. The FAMILIES table maps each family to its
+prefix function and to the spec fields it reads; a spec rejects any other
+field set away from its default, and serialises only the fields it reads.
 
 Families
 --------
@@ -29,7 +31,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,18 +40,6 @@ from mpmath.libmp import from_int, mpi_exp, mpi_sqrt, round_floor, to_int
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .streams import substream, wilson_interval
-
-FAMILIES = (
-    "power",
-    "log_power",
-    "sqrt_block",
-    "fast_block",
-    "fast_increasing",
-    "sparse_values",
-    "geometric",
-    "constant",
-    "custom",
-)
 
 # The cover-time calibration for fast_block runs on its own fixed stream so
 # generated prefixes are reproducible and prefix-stable.
@@ -62,9 +52,11 @@ COVER_CALIBRATION_STEP_BUDGET = 40_000_000
 class StepSequenceSpec:
     """Declarative description of a step-size family; the single source of a_n.
 
-    `alpha` doubles as the level of the `constant` family. `growth_fn` is a
-    tabulated non-decreasing function given as the values f(1), f(2), ...;
-    indices beyond the table clamp to the last entry.
+    A family reads only the fields FAMILIES lists for it; any other field
+    must keep its default, or the spec is a ConfigurationError. Numbers must
+    be finite. `alpha` doubles as the level of the `constant` family.
+    `growth_fn` is a tabulated non-decreasing function given as the values
+    f(1), f(2), ...; indices beyond the table clamp to the last entry.
     """
 
     family: str
@@ -75,8 +67,12 @@ class StepSequenceSpec:
     custom_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ConfigurationError(f"unknown sequence family {self.family!r}")
+        reads = FAMILIES[self.family][1]
+        for f in fields(self)[1:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigurationError(f"{self.family} does not read spec.{f.name}")
         if self.alpha is not None:
             _require_number(self.alpha, "alpha")
         _require_number(self.cover_confidence, "cover_confidence")
@@ -94,16 +90,10 @@ class StepSequenceSpec:
 
     def to_dict(self) -> dict:
         out = {"family": self.family}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.floor_values:
-            out["floor_values"] = True
-        if self.growth_fn is not None:
-            out["growth_fn"] = list(self.growth_fn)
-        if self.family == "fast_block":
-            out["cover_confidence"] = self.cover_confidence
-        if self.custom_values is not None:
-            out["custom_values"] = list(self.custom_values)
+        for name in FAMILIES[self.family][1]:
+            value = getattr(self, name)
+            if value is not None and value is not False:
+                out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
@@ -112,9 +102,7 @@ class StepSequenceSpec:
             raise ConfigurationError(f"sequence spec must be an object, not {data!r}")
         if "family" not in data:
             raise ConfigurationError("sequence spec is missing the 'family' key")
-        known = {"family", "alpha", "floor_values", "growth_fn", "cover_confidence",
-                 "custom_values"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown sequence spec keys: {sorted(unknown)}")
         return cls(**data)
@@ -163,8 +151,12 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_number(value, name: str) -> None:
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
-             f"sequence spec {name} must be a number, not {value!r}")
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int past the float range; every family takes floats of it
+        ok = False
+    _require(ok, f"sequence spec {name} must be a finite number, not {value!r}")
 
 
 def _number_tuple(values, name: str) -> tuple:
@@ -218,26 +210,7 @@ def generate(spec: StepSequenceSpec, n: int) -> list:
     """
     if n < 1:
         raise DomainError("sequence length n must be >= 1")
-    fam = spec.family
-    if fam == "power":
-        return _power_prefix(spec, n)
-    if fam == "log_power":
-        return _log_power_prefix(spec, n)
-    if fam == "sqrt_block":
-        return _sqrt_block_prefix(n)
-    if fam == "fast_block":
-        return _fast_block_prefix(spec, n)
-    if fam == "fast_increasing":
-        return _fast_increasing_prefix(spec, n)
-    if fam == "sparse_values":
-        return _sparse_values_prefix(spec, n)
-    if fam == "geometric":
-        return _geometric_prefix(spec, n)
-    if fam == "constant":
-        return _constant_prefix(spec, n)
-    if fam == "custom":
-        return _custom_prefix(spec, n)
-    raise ConfigurationError(f"unknown sequence family {fam!r}")
+    return FAMILIES[spec.family][0](spec, n)
 
 
 def _power_prefix(spec, n):
@@ -278,7 +251,7 @@ def recurrence_event_window(k: int) -> tuple[int, int]:
     return sqrt_block_window(2 * k)
 
 
-def _sqrt_block_prefix(n):
+def _sqrt_block_prefix(spec, n):
     out = []
     k = 1
     while len(out) < n:
@@ -437,20 +410,18 @@ def _custom_prefix(spec, n):
     return [int(v) if float(v).is_integer() else float(v) for v in values[:n]]
 
 
-def integer_valued(spec: StepSequenceSpec) -> bool:
-    """Whether the family produces integers (and so the exact engine applies)."""
-    if spec.family in ("sqrt_block", "fast_block", "sparse_values", "geometric"):
-        return True
-    if spec.family in ("power", "log_power"):
-        return spec.floor_values or (spec.family == "power"
-                                     and spec.alpha is not None
-                                     and float(spec.alpha).is_integer()
-                                     and spec.alpha >= 0)
-    if spec.family == "constant":
-        return spec.alpha is None or float(spec.alpha).is_integer()
-    if spec.family == "custom":
-        return all(float(v).is_integer() for v in spec.custom_values or ())
-    return False
+# family -> (prefix function, the spec fields it reads, in field order)
+FAMILIES = {
+    "power": (_power_prefix, ("alpha", "floor_values")),
+    "log_power": (_log_power_prefix, ("alpha", "floor_values")),
+    "sqrt_block": (_sqrt_block_prefix, ()),
+    "fast_block": (_fast_block_prefix, ("growth_fn", "cover_confidence")),
+    "fast_increasing": (_fast_increasing_prefix, ("growth_fn",)),
+    "sparse_values": (_sparse_values_prefix, ("growth_fn",)),
+    "geometric": (_geometric_prefix, ("growth_fn",)),
+    "constant": (_constant_prefix, ("alpha",)),
+    "custom": (_custom_prefix, ("custom_values",)),
+}
 
 
 def value_counts(seq) -> SequenceCounts:
@@ -757,7 +728,7 @@ def parse_json_object(text: str, path, what: str) -> dict:
     """Parse a JSON object read from `path`; anything else is a ConfigurationError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigurationError(f"{path}: malformed JSON {what}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: the {what} must be a JSON object")
@@ -786,6 +757,7 @@ def read_sequence_file(path, n: int | None = None) -> list:
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{path}:{idx}: cannot parse step {line!r}") from exc
+            _require(math.isfinite(v), f"{path}:{idx}: step {line!r} is not finite")
             v = int(v) if v.is_integer() else v
         values.append(v)
     if n is not None:

@@ -129,6 +129,21 @@ class TestDist:
         assert run("dist", "--seq", seq, *mode, "--out", out) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["dist"],
+        ["dist", "--mod", "5"],
+        ["bounds", "--check", "modular-elo", "--m", "5"],
+        ["bounds", "--check", "hoeffding"],
+    ], ids=["dist", "dist_mod", "modular_elo", "hoeffding"])
+    def test_non_finite_step_exits_2(self, tmp_path, capsys, argv, line):
+        seq = tmp_path / "seq.txt"
+        seq.write_text(f"3\n1\n{line}\n")
+        assert run(*argv, "--seq", seq) == 2
+        err = capsys.readouterr().err
+        assert f"seq.txt:3: step '{line}' is not finite" in err
+        assert "Traceback" not in err
+
     def test_exact_residues_rejected(self, tmp_path, seq_file):
         out = tmp_path / "mod.json"
         assert run("dist", "--seq", seq_file, "--n", 2, "--mod", 5, "--exact",
@@ -178,6 +193,23 @@ class TestBounds:
 
     def test_missing_mode_exits_2(self):
         assert run("bounds") == 2
+
+    def test_exponent_without_alpha_exits_2(self, capsys):
+        assert run("bounds", "--exponent") == 2
+        err = capsys.readouterr().err
+        assert "--exponent requires --alpha" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--alpha", "1", "--delta", "inf"],
+        ["--alpha", "1", "--gamma", "nan"],
+    ], ids=["alpha_nan", "alpha_inf", "delta_inf", "gamma_nan"])
+    def test_non_finite_exponent_input_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "exp.json"
+        assert run("bounds", "--exponent", *argv, "--out", out) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_manifest(tmp_path, **overrides):
@@ -293,6 +325,17 @@ class TestMc:
         assert "rlab: error:" in err and f"params.{name}" in err
         assert "Traceback" not in err
 
+    def test_replayed_report_with_unread_spec_field_exits_2(self, tmp_path, capsys):
+        # a report written before specs rejected the fields their family never reads
+        man = write_manifest(tmp_path)
+        out = tmp_path / "report.json"
+        assert run("mc", "--manifest", man, "--out", out) == 0
+        report = load(out)
+        report["result"]["mc_manifest"]["spec"]["alpha"] = 0.5
+        out.write_text(json.dumps(report))
+        assert run("mc", "--manifest", out) == 2
+        assert "sqrt_block does not read spec.alpha" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_non_positive_threads_exits_2(self, tmp_path, capsys, threads):
         man = write_manifest(tmp_path)
@@ -335,6 +378,21 @@ class TestFitAndFormats:
         out = tmp_path / "fit.json"
         assert run("fit", "--points", pts, "--out", out) == 0
         assert load(out)["result"]["slope"] == pytest.approx(-1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("row,message", [
+        ("a,b", "expected 'n,value', not 'a,b'"),
+        ("4", "expected 'n,value', not '4'"),
+        ("4,nan", "'4,nan' is not finite"),
+        ("inf,0.5", "'inf,0.5' is not finite"),
+    ], ids=["unparsable", "one_column", "nan_value", "inf_n"])
+    def test_bad_point_exits_2(self, tmp_path, capsys, row, message):
+        pts = tmp_path / "points.csv"
+        pts.write_text(f"n,value\n2,0.25\n{row}\n8,0.015625\n16,0.004\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--points", pts, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"points.csv:3: {message}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_fit_csv_projection(self, tmp_path):
         pts = tmp_path / "points.csv"

@@ -36,6 +36,27 @@ class TestSimulateWalk:
         man = manifest(family="custom", custom_values=(0, 0, 0), horizon=3)
         assert simulate_walk(man, 0).tolist() == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("family,spec_kw,kind", [
+        ("sqrt_block", {}, "i"),
+        ("power", {"alpha": 2}, "i"),
+        ("power", {"alpha": 0.5}, "f"),
+        ("power", {"alpha": 0.5, "floor_values": True}, "i"),
+        ("log_power", {"alpha": 1.5}, "f"),
+        ("constant", {"alpha": 2.5}, "f"),
+        ("custom", {"custom_values": (1, 2.5, 3)}, "f"),
+        # the values the horizon reaches decide, not the whole list
+        ("custom", {"custom_values": (1, 2, 3, 0.5)}, "i"),
+    ], ids=["sqrt_block", "power_int", "power_real", "power_floor", "log_power",
+            "constant_real", "custom_real", "custom_int_prefix"])
+    def test_trace_dtype_follows_the_steps(self, family, spec_kw, kind):
+        man = manifest(horizon=3, family=family, **spec_kw)
+        assert simulate_walk(man, 0).dtype.kind == kind
+
+    def test_integer_positions_beyond_int64_infeasible(self):
+        man = manifest(horizon=2, family="custom", custom_values=(2**61, 2**61))
+        with pytest.raises(InfeasibleError, match="overflow 64-bit"):
+            simulate_walk(man, 0)
+
     def test_replicate_out_of_range(self):
         with pytest.raises(ConfigurationError):
             simulate_walk(manifest(replicates=5), 5)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from rlab.cli import main
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
-from rlab.sequences import (_EXACT_COUNTS_TOP, StepSequenceSpec,
+from rlab.sequences import (_EXACT_COUNTS_TOP, FAMILIES, StepSequenceSpec,
                             check_ints_conditions, check_sparse_conditions,
                             generate, log_power_counts, log_power_ratio_bounds,
                             log_power_ratio_window, read_sequence_file,
@@ -130,6 +132,104 @@ class TestPrefixStability:
     def test_fast_increasing_prefix(self):
         s = spec(family="fast_increasing", growth_fn=[1.0, 2.0, 4.0])
         assert generate(s, 9) == generate(s, 17)[:9]
+
+
+# the spec fields each family reads, written out apart from FAMILIES
+READS = {
+    "power": ("alpha", "floor_values"),
+    "log_power": ("alpha", "floor_values"),
+    "sqrt_block": (),
+    "fast_block": ("growth_fn", "cover_confidence"),
+    "fast_increasing": ("growth_fn",),
+    "sparse_values": ("growth_fn",),
+    "geometric": ("growth_fn",),
+    "constant": ("alpha",),
+    "custom": ("custom_values",),
+}
+# a value away from the default for every optional field
+OTHER_VALUES = {"alpha": 0.5, "floor_values": True, "growth_fn": [1.0, 2.0],
+                "cover_confidence": 0.25, "custom_values": [1, 2]}
+# one accepted spec per family, and its to_dict: the "spec" of an mc_manifest
+GOLDEN = {
+    "power": ({"alpha": 0.5, "floor_values": True},
+              {"family": "power", "alpha": 0.5, "floor_values": True}),
+    "log_power": ({"alpha": 2}, {"family": "log_power", "alpha": 2}),
+    "sqrt_block": ({}, {"family": "sqrt_block"}),
+    "fast_block": ({"growth_fn": [1, 2]},
+                   {"family": "fast_block", "growth_fn": [1.0, 2.0],
+                    "cover_confidence": 0.5}),
+    "fast_increasing": ({"growth_fn": [0]},
+                        {"family": "fast_increasing", "growth_fn": [0.0]}),
+    "sparse_values": ({}, {"family": "sparse_values"}),
+    "geometric": ({"growth_fn": [1, 2, 4]},
+                  {"family": "geometric", "growth_fn": [1.0, 2.0, 4.0]}),
+    "constant": ({}, {"family": "constant"}),
+    "custom": ({"custom_values": (3, 1, 4.5)},
+               {"family": "custom", "custom_values": [3, 1, 4.5]}),
+}
+UNREAD = [(fam, name) for fam, reads in READS.items()
+          for name in OTHER_VALUES if name not in reads]
+
+
+class TestSpecFields:
+    def test_table_lists_the_fields_each_family_reads(self):
+        assert {fam: reads for fam, (_, reads) in FAMILIES.items()} == READS
+
+    @pytest.mark.parametrize("family,name", UNREAD,
+                             ids=[f"{fam}-{name}" for fam, name in UNREAD])
+    def test_unread_field_rejected(self, tmp_path, capsys, family, name):
+        data = {"family": family, **GOLDEN[family][0], name: OTHER_VALUES[name]}
+        message = f"{family} does not read spec.{name}"
+        with pytest.raises(ConfigurationError, match=message):
+            StepSequenceSpec(**data)
+        with pytest.raises(ConfigurationError, match=message):
+            StepSequenceSpec.from_dict(data)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert main(["gen", "--spec", str(path), "--n", "3"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"family": "power", "alpha": math.nan},
+        {"family": "power", "alpha": math.inf},
+        {"family": "constant", "alpha": -math.inf},
+        {"family": "geometric", "growth_fn": [1, math.inf]},
+        {"family": "fast_increasing", "growth_fn": [math.nan]},
+        {"family": "custom", "custom_values": [1, math.nan]},
+        {"family": "custom", "custom_values": [math.inf]},
+        {"family": "fast_block", "growth_fn": [1], "cover_confidence": math.nan},
+        {"family": "power", "alpha": 10**400},
+        {"family": "geometric", "growth_fn": [1, 10**400]},
+        {"family": "custom", "custom_values": [1, 10**400]},
+    ], ids=["alpha_nan", "alpha_inf", "level_minus_inf", "growth_fn_inf",
+            "growth_fn_nan", "custom_nan", "custom_inf", "cover_confidence_nan",
+            "alpha_past_float_range", "growth_fn_past_float_range",
+            "custom_past_float_range"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, data):
+        with pytest.raises(ConfigurationError, match="must be a finite number"):
+            StepSequenceSpec.from_dict(data)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))  # NaN and Infinity, as json writes them
+        assert main(["gen", "--spec", str(path), "--n", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN))
+    def test_golden_dict(self, family):
+        fields, golden = GOLDEN[family]
+        got = StepSequenceSpec(family, **fields).to_dict()
+        # compared as JSON text: key order and int/float spellings count
+        assert json.dumps(got) == json.dumps(golden)
+
+    @given(any_spec(), st.sampled_from(sorted(OTHER_VALUES)))
+    def test_dict_round_trip(self, s, name):
+        assert StepSequenceSpec.from_dict(s.to_dict()) == s
+        data = {**s.to_dict(), name: OTHER_VALUES[name]}
+        if name in READS[s.family]:
+            changed = StepSequenceSpec.from_dict(data)
+            assert StepSequenceSpec.from_dict(changed.to_dict()) == changed
+        else:
+            with pytest.raises(ConfigurationError, match="does not read"):
+                StepSequenceSpec.from_dict(data)
 
 
 class TestSqrtBlockShape:
@@ -468,6 +568,13 @@ class TestSequenceFiles:
         path.write_text("1e3\n2.0\n")
         assert read_sequence_file(path) == [1000, 2]
 
+    @pytest.mark.parametrize("line", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_step_names_its_line(self, tmp_path, line):
+        path = tmp_path / "seq.txt"
+        path.write_text(f"3\n1.5\n{line}\n")
+        with pytest.raises(ConfigurationError, match=f"seq.txt:3: step '{line}' is not finite"):
+            read_sequence_file(path)
+
     def test_json_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"family": "sqrt_block"}')
@@ -477,6 +584,9 @@ class TestSequenceFiles:
         path.write_text('{"family": "sqrt_bl')
         with pytest.raises(ConfigurationError, match="malformed JSON"):
             read_sequence_file(path, n=4)
+        path.write_text('{"family": "power", "alpha": ' + "9" * 5000 + "}")
+        with pytest.raises(ConfigurationError, match="malformed JSON"):
+            read_sequence_file(path, n=4)  # more digits than int() will parse
 
     def test_spec_dict_roundtrip(self):
         s = spec(family="geometric", growth_fn=[1, 2, 4])
@@ -485,3 +595,5 @@ class TestSequenceFiles:
             StepSequenceSpec.from_dict({"alpha": 1})
         with pytest.raises(ConfigurationError):
             StepSequenceSpec.from_dict({"family": "power", "bogus": 1})
+        with pytest.raises(ConfigurationError, match="unknown sequence family"):
+            StepSequenceSpec.from_dict({"family": ["power"]})  # not hashable
