@@ -189,6 +189,8 @@ def hoeffding_tail(l2_norm: float, t: float) -> float:
     """Hoeffding bound exp(-t**2/2) on P(X >= t * l2_norm)."""
     if l2_norm <= 0:
         raise DomainError("l2_norm must be positive")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, not {t}")
     if t < 0:
         raise DomainError("t must be non-negative")
     return math.exp(-t * t / 2.0)

@@ -144,6 +144,7 @@ class CoupledPair:
     episode_wins: list[bool]
     anti_steps: list[tuple[int, int]]  # (step index, sign taken by the first walk)
     end_time: int
+    evaluations: int  # values a(n) computed at the working precision
 
 
 def _steps_array(manifest: McRunManifest):
@@ -378,15 +379,22 @@ _MAX_EPISODES = 10_000
 
 
 class _SequenceView:
-    """Random access to a_n for the coupling game.
+    """Random access to a_n for the coupling game, each a(n) evaluated once.
 
-    Monotone families (power with 0 < alpha < 1, log_power) get O(log n)
-    searches via bisection, valid for arbitrarily large indices; custom
-    sequences fall back to linear scans over their finite horizon.
+    Values are memoised, so a view serves one working precision. Power steps
+    (0 < alpha < 1) are inverted in closed form: a(m) >= t exactly when
+    m >= t**(1/alpha), and gap(n) < h first holds just above
+    (h/alpha)**(1/(alpha-1)) + 1/2; log_power values invert as
+    m >= exp(t**(1/alpha)). `_confirmed` takes such a guess only when its
+    neighbours clear the threshold by more than rounding; otherwise, and for
+    log_power gaps, doubling and bisection find the same index, valid for
+    arbitrarily large indices. Custom sequences use linear scans over their
+    finite horizon.
     """
 
     def __init__(self, spec: StepSequenceSpec, horizon: int | None):
         self.spec = spec
+        self._memo: dict[int, mpf] = {}
         fam = spec.family
         if fam == "power":
             if spec.floor_values:
@@ -427,17 +435,45 @@ class _SequenceView:
                 f"family {fam!r} does not provide unbounded steps with vanishing gaps")
 
     def a(self, n: int) -> mpf:
-        if self.kind == "power":
-            return mpf(n) ** mpf(self.alpha)
-        if self.kind == "log_power":
-            return mp.log(mpf(n)) ** mpf(self.alpha)
-        return mpf(self.values[n - 1])
+        value = self._memo.get(n)
+        if value is None:
+            if self.kind == "power":
+                value = mpf(n) ** mpf(self.alpha)
+            elif self.kind == "log_power":
+                value = mp.log(mpf(n)) ** mpf(self.alpha)
+            else:
+                value = mpf(self.values[n - 1])
+            self._memo[n] = value
+        return value
 
     def gap(self, n: int) -> mpf:
         return self.a(n) - self.a(n - 1)
 
+    def _confirmed(self, guess: mpf, lo: int, margin) -> int | None:
+        """The smallest c in [lo, horizon] with margin(c) > 0, tried at `guess`
+        and the index after it; None when neither is confirmed.
+
+        `margin` increases with its index for the exact values. Requiring
+        margin(c) > tol and, above lo, margin(c - 1) < -tol, with
+        tol = a(c) * 2**(8 - prec) far above the rounding of a, fixes the
+        computed sign of `margin` at every index the doubling and bisection
+        probe: those below 2c, and the horizon, where a is larger still. So
+        they would return the same c.
+        """
+        if not guess < self.horizon + 1:
+            return None
+        c = max(int(guess), lo)
+        for c in range(c, min(c + 2, self.horizon + 1)):
+            tol = mp.ldexp(self.a(c), 8 - mp.prec)
+            here = margin(c)
+            if here > tol:
+                return c if c == lo or margin(c - 1) < -tol else None
+            if not here < -tol:
+                return None
+        return None
+
     def first_gap_below(self, lo: int, half_delta: mpf) -> int:
-        """Smallest n >= lo with every later gap below half_delta."""
+        """Smallest n in [lo, horizon] with every later gap below half_delta."""
         if self.kind == "custom":
             for n in range(max(lo, 2), self.horizon + 1):
                 if self.suffix_gap[n - 2] < half_delta:
@@ -447,31 +483,42 @@ class _SequenceView:
         n = max(lo, self.gap_floor)
         if n > self.horizon:
             raise InfeasibleError("no indices left on the horizon")
-        if self.gap(n) < half_delta:
-            return n
-        hi = n
+        if self.kind == "power":
+            alpha = mpf(self.alpha)
+            guess = (half_delta / alpha) ** (1 / (alpha - 1)) + 1.5
+            found = self._confirmed(guess, n, lambda k: half_delta - self.gap(k))
+            if found is not None:
+                return found
+        lo_b = hi = n
         while self.gap(hi) >= half_delta:
-            hi *= 2
-            if hi > self.horizon:
+            if hi >= self.horizon:
                 raise InfeasibleError(
                     f"gap threshold {float(half_delta)} unreachable within horizon")
-        lo_b, hi_b = hi // 2, hi
-        while hi_b - lo_b > 1:
-            mid = (lo_b + hi_b) // 2
+            lo_b, hi = hi, min(2 * hi, self.horizon)
+        while hi - lo_b > 1:
+            mid = (lo_b + hi) // 2
             if self.gap(mid) < half_delta:
-                hi_b = mid
+                hi = mid
             else:
                 lo_b = mid
-        return hi_b
+        return hi
 
     def first_value_at_least(self, after: int, target: mpf) -> int:
-        """Smallest m > after with a(m) >= target."""
+        """Smallest m in (after, horizon] with a(m) >= target."""
         if self.kind == "custom":
             for m in range(after + 1, self.horizon + 1):
                 if self.a(m) >= target:
                     return m
             raise InfeasibleError(
                 f"no step on the horizon reaches value {float(target)}")
+        if after >= self.horizon:
+            raise InfeasibleError(
+                f"steps on the horizon never reach value {float(target)}")
+        root = target ** (1 / mpf(self.alpha))
+        guess = mp.ceil(root if self.kind == "power" else mp.exp(root))
+        found = self._confirmed(guess, after + 1, lambda k: self.a(k) - target)
+        if found is not None:
+            return found
         if self.a(after + 1) >= target:
             return after + 1
         if self.a(self.horizon) < target:
@@ -514,7 +561,7 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
         anti: list[tuple[int, int]] = []
         wins: list[bool] = []
         if 0 <= D <= eps:
-            return CoupledPair(float(d), float(epsilon), 0, float(D), wins, anti, 0)
+            return CoupledPair(float(d), float(epsilon), 0, float(D), wins, anti, 0, 0)
         t = 0
         episodes = 0
         while episodes < _MAX_EPISODES:
@@ -539,7 +586,7 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
             if 0 <= D <= eps:
                 wins.append(True)
                 return CoupledPair(float(d), float(epsilon), episodes, float(D),
-                                   wins, anti, n_i)
+                                   wins, anti, n_i, len(view._memo))
             s2 = int(rademacher_signs(rng, 1)[0])
             D = D + 2 * s2 * view.a(m_i)
             anti.append((m_i, s2))
@@ -547,7 +594,7 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
             if 0 <= D <= eps:
                 wins.append(True)
                 return CoupledPair(float(d), float(epsilon), episodes, float(D),
-                                   wins, anti, m_i)
+                                   wins, anti, m_i, len(view._memo))
             wins.append(False)
         raise InfeasibleError(f"no alignment within {_MAX_EPISODES} episodes")
 

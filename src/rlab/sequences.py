@@ -750,8 +750,12 @@ def read_sequence_file(path, n: int | None = None) -> list:
         if not line:
             continue
         try:
-            v = int(line)  # integers exactly, whatever their size
+            v = int(line)  # integers exactly, up to int()'s digit limit
         except ValueError:
+            digits = line[1:] if line[0] in "+-" else line
+            # int() refuses a string of decimal digits only past its limit
+            _require(not digits.isdecimal(), f"{path}:{idx}: integer step "
+                     f"{line[:20]}... has too many digits ({len(digits):,})")
             try:
                 v = float(line)
             except ValueError as exc:

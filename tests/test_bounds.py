@@ -181,6 +181,11 @@ class TestHoeffding:
     def test_t_three(self):
         assert hoeffding_tail(2.0, 3.0) == pytest.approx(0.011109, abs=1e-6)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            hoeffding_tail(1.0, t)
+
     @given(st.lists(st.integers(1, 20), min_size=1, max_size=14),
            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))
     def test_dominates_exact_tail(self, steps, t):

@@ -187,6 +187,14 @@ class TestBounds:
                    "--out", out) == 0
         assert load(out)["result"]["satisfied"] is True
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_hoeffding_non_finite_t_exits_2(self, tmp_path, capsys, seq_file, t):
+        out = tmp_path / "rep.json"
+        assert run("bounds", "--check", "hoeffding", "--seq", seq_file, "--t", t,
+                   "--out", out) == 2
+        assert "t must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_coprimality_violation_exits_2(self, tmp_path, seq_file):
         assert run("bounds", "--check", "modular-elo", "--m", 3, "--seq",
                    seq_file) == 2  # steps 3 share a factor with 3

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
-                     block_pair_trace, embed_2d, estimate_interval_hits, estimate_q1,
+                     _SequenceView, block_pair_trace, embed_2d, estimate_interval_hits, estimate_q1,
                      fit_exponent, kochen_stone_estimate, replay_final_gap,
                      run_experiment, simulate_coupling, simulate_walk)
 from rlab.sequences import StepSequenceSpec, generate, recurrence_event_window
@@ -284,6 +285,125 @@ class TestFitExponent:
             fit_exponent([(1, 1.0), (2, 0.5), (3, 0.0)])
 
 
+def oracle_value(spec):
+    """a(n) of a power or log_power spec, written out apart from `_SequenceView`."""
+    if spec.family == "power":
+        return lambda n: mpf(n) ** mpf(spec.alpha)
+    return lambda n: mp.log(mpf(n)) ** mpf(spec.alpha)
+
+
+def oracle_first_gap_below(view, lo, half_delta):
+    """Oracle: double from max(lo, gap floor) up to the horizon, then bisect."""
+    a = oracle_value(view.spec)
+    n = max(lo, view.gap_floor)
+    if n > view.horizon:
+        raise InfeasibleError("no indices left on the horizon")
+    lo_b = hi = n
+    while a(hi) - a(hi - 1) >= half_delta:
+        if hi >= view.horizon:
+            raise InfeasibleError(
+                f"gap threshold {float(half_delta)} unreachable within horizon")
+        lo_b, hi = hi, min(2 * hi, view.horizon)
+    while hi - lo_b > 1:
+        mid = (lo_b + hi) // 2
+        if a(mid) - a(mid - 1) < half_delta:
+            hi = mid
+        else:
+            lo_b = mid
+    return hi
+
+
+def oracle_first_value_at_least(view, after, target):
+    """Oracle: probe after + 1 and the horizon, double, then bisect."""
+    a = oracle_value(view.spec)
+    if after < view.horizon and a(after + 1) >= target:
+        return after + 1
+    if after >= view.horizon or a(view.horizon) < target:
+        raise InfeasibleError(f"steps on the horizon never reach value {float(target)}")
+    lo, hi = after + 1, 2 * (after + 1)
+    while hi < view.horizon and a(hi) < target:
+        lo, hi = hi, hi * 2
+    hi = min(hi, view.horizon)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+SEARCH_SPECS = [StepSequenceSpec("power", alpha=alpha) for alpha in (0.1, 0.5, 0.9)] + [
+    StepSequenceSpec("log_power", alpha=alpha) for alpha in (1.0, 2.0)]
+
+
+class TestCouplingSearchAgainstOracle:
+    """Closed-form inversion against today's doubling and bisection, kept here."""
+
+    @pytest.mark.parametrize("dps", [8, 15, 30, 60])
+    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: f"{s.family}{s.alpha}")
+    def test_index_for_index(self, spec, dps):
+        rng = np.random.default_rng([dps, int(spec.alpha * 10)])
+        with mp.workdps(dps):
+            for _ in range(60):
+                lo = int(10 ** rng.uniform(0, 7))
+                horizon = int(lo * 10 ** rng.uniform(0, 4)) if rng.random() < 0.3 else None
+                view = _SequenceView(spec, horizon)
+                half_delta = mpf(10 ** rng.uniform(-6, -0.5))
+                k = max(lo, view.gap_floor) + int(rng.integers(0, 100))
+                after = lo + int(rng.integers(0, 3))
+                target = view.a(after) + mpf(10 ** rng.uniform(-4, 3))
+                # thresholds equal to a computed gap or value sit on the rounding edge
+                for h in (half_delta, view.gap(k)):
+                    assert (outcome(view.first_gap_below, lo, h)
+                            == outcome(oracle_first_gap_below, view, lo, h))
+                for t in (target, view.a(after + int(rng.integers(1, 50)))):
+                    assert (outcome(view.first_value_at_least, after, t)
+                            == outcome(oracle_first_value_at_least, view, after, t))
+
+    @pytest.mark.parametrize("dps", [8, 15, 30, 60])
+    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: f"{s.family}{s.alpha}")
+    def test_games_match(self, spec, dps, monkeypatch):
+        def play():
+            pairs = []
+            for d in (1.3, -0.8):
+                for eps in (0.1, 0.01):
+                    for rep in range(6):
+                        pairs.append(outcome(lambda: simulate_coupling(
+                            spec, d, eps, seed=99, replicate=rep, dps=dps)))
+            return pairs
+
+        fast = play()
+        monkeypatch.setattr(_SequenceView, "first_gap_below", oracle_first_gap_below)
+        monkeypatch.setattr(_SequenceView, "first_value_at_least",
+                            oracle_first_value_at_least)
+        for got, want in zip(fast, play(), strict=True):
+            assert type(got) is type(want)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert (got.episodes_used, got.final_gap, got.anti_steps) == (
+                    want.episodes_used, want.final_gap, want.anti_steps)
+
+    def test_few_evaluations_per_power_episode(self):
+        episodes = evaluations = 0
+        for alpha in (0.5, 0.6, 0.7):
+            for eps in (0.1, 0.01):
+                for rep in range(40):
+                    pair = simulate_coupling(StepSequenceSpec("power", alpha=alpha),
+                                             1.0 + rep / 20, eps, seed=5, replicate=rep)
+                    episodes += pair.episodes_used
+                    evaluations += pair.evaluations
+        assert evaluations / episodes <= 6
+
+
 class TestCoupling:
     SPEC = StepSequenceSpec(family="power", alpha=0.5)
 
@@ -322,6 +442,20 @@ class TestCoupling:
         spec = StepSequenceSpec(family="custom", custom_values=values)
         with pytest.raises(InfeasibleError, match="delta"):
             simulate_coupling(spec, 200.0, 0.001, seed=7)
+
+    @pytest.mark.parametrize("spec, half_delta", [
+        (StepSequenceSpec("power", alpha=0.5), 0.05),
+        (StepSequenceSpec("log_power", alpha=1.0), 0.01),
+    ])
+    def test_gap_search_stays_inside_the_horizon(self, spec, half_delta):
+        # doubling from the gap floor passes 106 before it reaches 101
+        assert _SequenceView(spec, 106).first_gap_below(1, mpf(half_delta)) == 101
+        with pytest.raises(InfeasibleError, match="unreachable"):
+            _SequenceView(spec, 100).first_gap_below(1, mpf(half_delta))
+        # and the value search takes no step past it
+        view = _SequenceView(spec, 101)
+        with pytest.raises(InfeasibleError, match="never reach"):
+            view.first_value_at_least(101, view.a(101) + mpf(0.01))
 
     def test_unit_gap_families_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -575,6 +575,16 @@ class TestSequenceFiles:
         with pytest.raises(ConfigurationError, match=f"seq.txt:3: step '{line}' is not finite"):
             read_sequence_file(path)
 
+    def test_integer_past_the_digit_limit_named(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("3\n-" + "7" * 5000 + "\n")
+        with pytest.raises(ConfigurationError) as exc:
+            read_sequence_file(path)
+        message = str(exc.value)
+        assert message.endswith("seq.txt:2: integer step -7777777777777777777... "
+                                "has too many digits (5,000)")
+        assert len(message) < 200 + len(str(tmp_path))
+
     def test_json_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"family": "sqrt_block"}')
