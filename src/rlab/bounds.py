@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import exact
 from .errors import DomainError
-from .exact import residue_coefficients
 
 SATISFACTION_TOL = 1e-12
 # Above this n, central binomial masses switch from exact rationals to log-gamma.
@@ -48,9 +48,13 @@ class BoundReport:
 
 
 def make_report(bound_name: str, params: dict, bound_value: float,
-                compared_value: float | None = None) -> BoundReport:
+                compared_value: float | None = None, floor: bool = False) -> BoundReport:
+    """Pair a bound with the quantity that must stay under it or, for a
+    `floor`, reach it. bound_value is the side that must be the larger."""
     if compared_value is None:
         return BoundReport(bound_name, params, float(bound_value))
+    if floor:
+        bound_value, compared_value = compared_value, bound_value
     satisfied = compared_value <= bound_value + SATISFACTION_TOL
     return BoundReport(bound_name, params, float(bound_value),
                        float(compared_value), bool(satisfied),
@@ -161,7 +165,8 @@ def cosine_product_bound(m: int, steps, all_ones: bool = False) -> float:
     _require_coprime(m, first)
     if not counts:
         raise DomainError("at least one step is required")
-    half = np.abs(residue_coefficients(m, {1: sum(counts.values())} if all_ones else counts))
+    half = np.abs(exact.residue_coefficients(
+        m, {1: sum(counts.values())} if all_ones else counts))
     # lambda and m - lambda share a coefficient
     return float((half.sum() + half[1:(m + 1) // 2].sum()) / m)
 
@@ -246,3 +251,67 @@ def transience_partial_sum(q1_values, C: float) -> list[float]:
         acc += (2.0 * C + 1.0) * q1
         out.append(acc)
     return out
+
+
+# Each check pairs a bound of a step list with the exact quantity it must
+# dominate, read from the step list's law. They call exact.* and this module's
+# bounds by name at call time, so wrappers set on those attributes see them.
+
+def _elo(steps, pmf):
+    c = min(steps)
+    if c <= 0:
+        raise DomainError("elo check requires strictly positive steps")
+    return ({"n": len(steps), "c": c}, elo_bound(len(steps)),
+            float(exact.concentration_q(pmf, 2 * c).result))
+
+
+def _modular_elo(steps, law, m):
+    return ({"m": m, "n": len(steps), "cosine_bound": cosine_product_bound(m, steps)},
+            modular_elo_bound(m, len(steps)), float(law.probs.max()))
+
+
+def _lower_anti(steps, pmf):
+    variance = exact.summary_moments(steps).variance
+    floor = lower_anti_floor(variance)
+    q1 = float(exact.concentration_q(pmf, 1.0).result)
+    return ({"n": len(steps), "variance": float(variance), "floor": floor, "q1": q1},
+            floor, q1)
+
+
+def _hoeffding(steps, pmf, t):
+    l2 = exact.summary_moments(steps).l2_norm
+    return ({"n": len(steps), "t": t, "l2_norm": l2}, hoeffding_tail(l2, t),
+            float(exact.tail_prob(pmf, t * l2)))
+
+
+def _paley_zygmund(steps, pmf):
+    l2 = exact.summary_moments(steps).l2_norm
+    return ({"n": len(steps), "l2_norm": l2}, 3.0 / 16.0,
+            float(exact.abs_tail_prob(pmf, l2 / 2.0)))
+
+
+# check -> (its law: "walk", or "residue" mod m; the parameters it reads; its
+# pairing -> (report params, bound, exact quantity); whether the bound is a
+# floor the quantity must reach, not a ceiling it must stay under)
+CHECKS = {
+    # Q_{2c} <= binom(n, n//2) / 2**n when every step is at least c
+    "elo": ("walk", (), _elo, False),
+    # max_r P(X = r mod m) <= (1 or 2)/m + sqrt(2/(pi n)) for steps coprime to m
+    "modular-elo": ("residue", ("m",), _modular_elo, False),
+    # Q_1 >= 3 / (16 ceil(sqrt(Var X)))
+    "lower-anti": ("walk", (), _lower_anti, True),
+    # P(X >= t ||a||_2) <= exp(-t**2 / 2)
+    "hoeffding": ("walk", ("t",), _hoeffding, False),
+    # P(|X| >= ||a||_2 / 2) >= 3/16
+    "paley-zygmund": ("walk", (), _paley_zygmund, True),
+}
+
+
+def run_check(name: str, steps, law=None, **params) -> BoundReport:
+    """Report check `name` on `steps` with the CLI parameters it reads, taking
+    its exact quantity from `law`, the check's law of `steps` (built when None)."""
+    kind, _, pair, floor = CHECKS[name]
+    if law is None:
+        law = exact.walk_pmf(steps) if kind == "walk" else exact.modular_walk_pmf(
+            steps, params["m"])
+    return make_report(name, *pair(steps, law, **params), floor)

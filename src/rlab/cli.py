@@ -282,6 +282,9 @@ def cmd_dist(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.exponent:
+        if args.check:
+            raise ConfigurationError("--exponent and --check are separate reports; "
+                                     "give one")
         if args.alpha is None:
             raise ConfigurationError("--exponent requires --alpha")
         query = bounds.anti_exponent_f(
@@ -296,45 +299,20 @@ def cmd_bounds(args) -> int:
     if not args.check:
         raise ConfigurationError("bounds needs either --exponent or --check NAME")
     name = args.check.replace("_", "-")
-    inputs = {"check": name, "seq": args.seq, "n": args.n, "m": args.m, "t": args.t}
-    if name == "modular-elo":
-        if not args.m:
-            raise ConfigurationError("--check modular-elo requires --m")
-        steps = _load_steps(args, n=args.n)
-        compared = float(exact.modular_walk_pmf(steps, args.m).probs.max())
-        cosine = bounds.cosine_product_bound(args.m, steps)
-        report = bounds.make_report(
-            "modular-elo", {"m": args.m, "n": len(steps), "cosine_bound": cosine},
-            bounds.modular_elo_bound(args.m, len(steps)), compared)
-    elif name == "elo":
-        steps = _load_steps(args, n=args.n)
-        c = min(steps)
-        if c <= 0:
-            raise ConfigurationError("elo check requires strictly positive steps")
-        pmf = exact.walk_pmf(steps)
-        compared = float(exact.concentration_q(pmf, 2 * c).result)
-        report = bounds.make_report("elo", {"n": len(steps), "c": c},
-                                    bounds.elo_bound(len(steps)), compared)
-    elif name == "lower-anti":
-        steps = _load_steps(args, n=args.n)
-        variance = exact.summary_moments(steps).variance
-        floor = bounds.lower_anti_floor(variance)
-        q1 = float(exact.concentration_q(exact.walk_pmf(steps), 1.0).result)
-        # a concentration (lower) bound: satisfied when floor <= exact Q1
-        report = bounds.make_report("lower-anti",
-                                    {"n": len(steps), "variance": float(variance),
-                                     "floor": floor, "q1": q1}, q1, floor)
-    elif name == "hoeffding":
-        steps = _load_steps(args, n=args.n)
-        l2 = exact.summary_moments(steps).l2_norm
-        tail = float(exact.tail_prob(exact.walk_pmf(steps), args.t * l2))
-        report = bounds.make_report("hoeffding",
-                                    {"n": len(steps), "t": args.t, "l2_norm": l2},
-                                    bounds.hoeffding_tail(l2, args.t), tail)
-    else:
+    if name not in bounds.CHECKS:
         raise ConfigurationError(f"unknown bound check {args.check!r}")
-    result = {"kind": "bound", **report.to_dict()}
-    _write_report(args, "bounds", inputs, result)
+    reads = bounds.CHECKS[name][1]
+    # --t defaults to 1; its parser default None tells an omitted --t apart
+    values = {"m": args.m, "t": 1.0 if args.t is None else args.t}
+    for flag, given in (("m", args.m), ("t", args.t)):
+        if flag in reads and values[flag] is None:
+            raise ConfigurationError(f"--check {name} requires --{flag}")
+        if flag not in reads and given is not None:
+            raise ConfigurationError(f"--check {name} does not read --{flag}")
+    inputs = {"check": name, "seq": args.seq, "n": args.n, **values}
+    steps = _load_steps(args, n=args.n)
+    report = bounds.run_check(name, steps, **{flag: values[flag] for flag in reads})
+    _write_report(args, "bounds", inputs, {"kind": "bound", **report.to_dict()})
     return 0
 
 
@@ -437,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form bound reports")
-    p.add_argument("--check", help="elo | modular-elo | lower-anti | hoeffding")
+    p.add_argument("--check", help=" | ".join(bounds.CHECKS))
     p.add_argument("--exponent", action="store_true",
                    help="evaluate the anti-concentration exponent formula")
     p.add_argument("--alpha", type=float)
@@ -445,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=float, help="tail threshold in l2-norm units (default 1)")
     p.add_argument("--seq")
     p.set_defaults(func=cmd_bounds)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpf
 
+from .bounds import kochen_stone_ratio
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .sequences import StepSequenceSpec, generate, recurrence_event_window
 from .streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
@@ -262,7 +263,7 @@ def kochen_stone_estimate(stats: RecurrenceStats, up_to_k: int) -> dict:
     if z_second == 0.0:
         return {"z_mean": 0.0, "z_second_moment": 0.0, "ratio": 0.0}
     return {"z_mean": z_mean, "z_second_moment": z_second,
-            "ratio": min(1.0, z_mean * z_mean / z_second)}
+            "ratio": kochen_stone_ratio(z_mean, z_second)}
 
 
 def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate:

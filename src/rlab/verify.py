@@ -15,8 +15,6 @@ import numpy as np
 from . import bounds, exact, mc
 from .errors import ConfigurationError
 
-TOL = 1e-12
-
 
 @dataclass
 class VerifySuiteResult:
@@ -43,13 +41,12 @@ def suite_elo(seed: int = 20240801, max_n: int = 18, lists_per_n: int = 10,
     for n in range(1, max_n + 1):
         for _ in range(lists_per_n):
             steps = _random_steps(rng, n)
-            c = min(steps)
-            q = exact.concentration_q(exact.walk_pmf(steps), 2 * c).result
-            bound = bounds.elo_bound(n)
+            rep = bounds.run_check("elo", steps)
             res.cases_run += 1
-            worst = min(worst, bound - q)
-            if q > bound + TOL:
-                res.failures.append(f"n={n} steps={steps}: Q_{{2c}}={q} > {bound}")
+            worst = min(worst, rep.slack)
+            if not rep.satisfied:
+                res.failures.append(f"n={n} steps={steps}: "
+                                    f"Q_{{2c}}={rep.compared_value} > {rep.bound_value}")
     res.empirical_constants["min_slack"] = worst
     return res
 
@@ -65,12 +62,12 @@ def suite_modular_elo(seed: int = 20240801, max_m: int = 64, lists_per_m: int = 
         coprime = [b for b in range(1, 6 * m) if math.gcd(b, m) == 1]
         for _ in range(lists_per_m):
             for n in n_values:
-                steps = rng.choice(coprime, size=n).tolist()
-                mx = float(exact.modular_walk_pmf(steps, m).probs.max())
-                cos = bounds.cosine_product_bound(m, steps)
-                closed = bounds.modular_elo_bound(m, n)
+                rep = bounds.run_check("modular-elo", rng.choice(coprime, size=n).tolist(),
+                                       m=m)
+                mx, cos, closed = (rep.compared_value, rep.params["cosine_bound"],
+                                   rep.bound_value)
                 res.cases_run += 1
-                min_slack = min(min_slack, closed - mx)
+                min_slack = min(min_slack, rep.slack)
                 if mx > cos + 1e-10:
                     res.failures.append(f"m={m} n={n}: max residue {mx} > cosine {cos}")
                 if cos > closed + 1e-10:
@@ -84,7 +81,7 @@ def suite_modular_elo(seed: int = 20240801, max_m: int = 64, lists_per_m: int = 
         res.cases_run += 1
         val = bounds.cosine_product_bound(m, steps)
         top = bounds.cosine_product_bound(m, steps, all_ones=True)
-        if val > top + TOL:
+        if val > top + bounds.SATISFACTION_TOL:
             res.failures.append(f"maximizer: m={m} steps={steps}: {val} > all-ones {top}")
     res.empirical_constants["min_slack_vs_closed_form"] = min_slack
     return res
@@ -99,14 +96,12 @@ def suite_hoeffding(seed: int = 20240801, max_n: int = 18, lists_per_n: int = 6,
         for _ in range(lists_per_n):
             steps = _random_steps(rng, n)
             pmf = exact.walk_pmf(steps)
-            l2 = exact.summary_moments(steps).l2_norm
             for t in t_grid:
-                tail = exact.tail_prob(pmf, t * l2)
-                bound = bounds.hoeffding_tail(l2, t)
+                rep = bounds.run_check("hoeffding", steps, pmf, t=t)
                 res.cases_run += 1
-                if tail > bound + TOL:
-                    res.failures.append(
-                        f"n={n} t={t} steps={steps}: tail {tail} > {bound}")
+                if not rep.satisfied:
+                    res.failures.append(f"n={n} t={t} steps={steps}: "
+                                        f"tail {rep.compared_value} > {rep.bound_value}")
     return res
 
 
@@ -115,17 +110,15 @@ def suite_paley_zygmund(seed: int = 20240801, max_n: int = 18, lists_per_n: int 
     """Exact P(|X| >= l2/2) >= 3/16."""
     rng = np.random.default_rng(seed)
     res = VerifySuiteResult("paley_zygmund", 0)
-    floor = 3.0 / 16.0
     worst = math.inf
     for n in range(1, max_n + 1):
         for _ in range(lists_per_n):
             steps = _random_steps(rng, n)
-            pmf = exact.walk_pmf(steps)
-            l2 = exact.summary_moments(steps).l2_norm
-            mass = exact.abs_tail_prob(pmf, l2 / 2.0)
+            rep = bounds.run_check("paley-zygmund", steps)
+            mass = rep.bound_value  # a floor check reports the quantity as bound_value
             res.cases_run += 1
             worst = min(worst, mass)
-            if mass < floor - TOL:
+            if not rep.satisfied:
                 res.failures.append(f"n={n} steps={steps}: P(|X|>=l2/2)={mass} < 3/16")
     res.empirical_constants["min_mass"] = worst
     return res
@@ -156,7 +149,7 @@ def suite_combine_scales(seed: int = 20240801, cases: int = 300,
                 exact.concentration_q(B, s).result,
                 exact.abs_tail_prob(A, s))
             res.cases_run += 1
-            if lhs > rhs + TOL:
+            if lhs > rhs + bounds.SATISFACTION_TOL:
                 res.failures.append(
                     f"r={r} s={s} A={A.as_dict()} B={B.as_dict()}: {lhs} > {rhs}")
     return res
@@ -178,7 +171,8 @@ def suite_prefix(seed: int = 20240801, cases: int = 200, **_) -> VerifySuiteResu
         q_alt = exact.concentration_q(exact.walk_pmf(altered), r).result
         factor = 2.0 ** (m + 1)
         res.cases_run += 1
-        if not (q_alt / factor - TOL <= q <= q_alt * factor + TOL):
+        tol = bounds.SATISFACTION_TOL
+        if not (q_alt / factor - tol <= q <= q_alt * factor + tol):
             res.failures.append(
                 f"m={m} r={r} steps={steps} altered={altered}: {q} vs {q_alt}")
     return res

@@ -285,6 +285,10 @@ class TestBoundReport:
         rep = make_report("elo", {"n": 4}, 0.375, 0.25)
         assert rep.satisfied and rep.slack == pytest.approx(0.125)
         assert make_report("x", {}, 0.1, 0.2).satisfied is False
+        floor = make_report("lower-anti", {}, 0.25, 0.5, floor=True)
+        assert (floor.bound_value, floor.compared_value) == (0.5, 0.25)
+        assert floor.satisfied and floor.slack == 0.25
+        assert make_report("x", {}, 0.2, 0.1, floor=True).satisfied is False
 
     def test_clamped_copy(self):
         rep = make_report("modular-elo", {}, 1.2)

@@ -187,12 +187,71 @@ class TestBounds:
                    "--out", out) == 0
         assert load(out)["result"]["satisfied"] is True
 
+    # results on seq_file; a floor check (lower-anti, paley-zygmund) reports
+    # the exact quantity as bound_value and its floor as compared_value
+    @pytest.mark.parametrize("argv,result", [
+        (["elo"], {"bound_name": "elo", "params": {"n": 4, "c": 1},
+                   "bound_value": 0.375, "bound_value_clamped": 0.375,
+                   "compared_value": 0.125, "satisfied": True, "slack": 0.25}),
+        (["modular-elo", "--m", 7],
+         {"bound_name": "modular-elo",
+          "params": {"m": 7, "n": 4, "cosine_bound": 0.2052492715613381},
+          "bound_value": 0.5417994232585756,
+          "bound_value_clamped": 0.5417994232585756, "compared_value": 0.1875,
+          "satisfied": True, "slack": 0.35429942325857555}),
+        (["lower-anti"],
+         {"bound_name": "lower-anti",
+          "params": {"n": 4, "variance": 44.0, "floor": 0.026785714285714284,
+                     "q1": 0.125},
+          "bound_value": 0.125, "bound_value_clamped": 0.125,
+          "compared_value": 0.026785714285714284, "satisfied": True,
+          "slack": 0.09821428571428571}),
+        (["hoeffding", "--t", 1],
+         {"bound_name": "hoeffding",
+          "params": {"n": 4, "t": 1.0, "l2_norm": 6.6332495807108},
+          "bound_value": 0.6065306597126334,
+          "bound_value_clamped": 0.6065306597126334, "compared_value": 0.125,
+          "satisfied": True, "slack": 0.4815306597126334}),
+        (["paley-zygmund"],
+         {"bound_name": "paley-zygmund",
+          "params": {"n": 4, "l2_norm": 6.6332495807108},
+          "bound_value": 0.75, "bound_value_clamped": 0.75,
+          "compared_value": 0.1875, "satisfied": True, "slack": 0.5625}),
+    ], ids=["elo", "modular_elo", "lower_anti", "hoeffding", "paley_zygmund"])
+    def test_check_result_pinned(self, tmp_path, seq_file, argv, result):
+        out = tmp_path / "rep.json"
+        assert run("bounds", "--check", *argv, "--seq", seq_file, "--out", out) == 0
+        assert load(out)["result"] == {"kind": "bound", **result}
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_hoeffding_non_finite_t_exits_2(self, tmp_path, capsys, seq_file, t):
         out = tmp_path / "rep.json"
         assert run("bounds", "--check", "hoeffding", "--seq", seq_file, "--t", t,
                    "--out", out) == 2
         assert "t must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "elo", "--m", 5],
+        ["--check", "elo", "--t", 9],
+        ["--check", "lower-anti", "--t", 1],
+        ["--check", "paley-zygmund", "--m", 5],
+        ["--check", "hoeffding", "--m", 5],
+        ["--check", "modular-elo", "--m", 7, "--t", 1],
+        ["--check", "elo", "--exponent", "--alpha", 1],
+        ["--check", "modular-elo"],
+    ], ids=["elo_m", "elo_t", "lower_anti_t", "paley_zygmund_m", "hoeffding_m",
+            "modular_elo_t", "check_with_exponent", "modular_elo_without_m"])
+    def test_flag_mismatch_exits_2(self, tmp_path, capsys, seq_file, argv):
+        out = tmp_path / "rep.json"
+        assert run("bounds", *argv, "--seq", seq_file, "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_check_exits_2(self, tmp_path, capsys, seq_file):
+        out = tmp_path / "rep.json"
+        assert run("bounds", "--check", "nope", "--seq", seq_file, "--out", out) == 2
+        assert "unknown bound check 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_coprimality_violation_exits_2(self, tmp_path, seq_file):
@@ -565,6 +624,7 @@ class TestJsonWriter:
         ["bounds", "--check", "modular-elo", "--m", 7, "--seq", "{seq}"],
         ["bounds", "--check", "lower-anti", "--seq", "{seq}"],
         ["bounds", "--check", "hoeffding", "--seq", "{seq}", "--t", 1],
+        ["bounds", "--check", "paley-zygmund", "--seq", "{seq}"],
         ["bounds", "--exponent", "--alpha", 0.7, "--delta", 0.1],
         ["mc", "--manifest", "{interval_hits}"],
         ["mc", "--manifest", "{q1_estimate}"],
@@ -573,7 +633,7 @@ class TestJsonWriter:
         ["fit", "--points", "{points}"],
         ["verify", "--suite", "elo", "--max-n", 8],
     ], ids=["dist", "dist_exact", "dist_mod", "elo", "modular_elo", "lower_anti",
-            "hoeffding", "exponent", "mc_interval_hits", "mc_q1_estimate",
+            "hoeffding", "paley_zygmund", "exponent", "mc_interval_hits", "mc_q1_estimate",
             "mc_embed2d", "mc_coupling", "fit", "verify"])
     def test_real_reports_match_json_dumps(self, tmp_path, seq_file, written, argv):
         spec = tmp_path / "power.json"

@@ -42,3 +42,22 @@ def test_local_clt_constant_recorded():
     res = run_suite("local_clt", n_max=500)
     # the scaled error peaks at the very first even n
     assert res.empirical_constants["local_clt_c"] == pytest.approx(0.12838, abs=1e-4)
+
+
+# cases_run, failures and empirical constants of each suite at the default seed
+@pytest.mark.parametrize("name,cases_run,constants", [
+    ("elo", 180, {"min_slack": 0.0}),
+    ("modular_elo", 598, {"min_slack_vs_closed_form": 0.02523132522020155}),
+    ("hoeffding", 540, {}),
+    ("paley_zygmund", 108, {"min_mass": 0.5}),
+    ("combine_scales", 2400, {}),
+    ("prefix", 200, {}),
+    ("local_clt", 5000, {"local_clt_c": 0.12837916709551256,
+                         "max_scaled_error": 0.12837916709551256}),
+    ("exponent_fit", 2, {"distinct_steps_slope": -1.4882237567721144,
+                         "unit_steps_slope": -0.4985011309506606}),
+])
+def test_default_seed_results_pinned(name, cases_run, constants):
+    res = run_suite(name)
+    assert (res.cases_run, res.failures, res.empirical_constants) == (
+        cases_run, [], constants)
