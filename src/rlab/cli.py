@@ -285,11 +285,16 @@ def cmd_bounds(args) -> int:
         if args.check:
             raise ConfigurationError("--exponent and --check are separate reports; "
                                      "give one")
+        for flag in ("seq", "n", "m", "t"):
+            if getattr(args, flag) is not None:
+                raise ConfigurationError(f"--exponent does not read --{flag}")
         if args.alpha is None:
             raise ConfigurationError("--exponent requires --alpha")
-        query = bounds.anti_exponent_f(
-            bounds.ExponentQuery(args.alpha, args.delta, args.gamma))
-        inputs = {"alpha": args.alpha, "delta": args.delta, "gamma": args.gamma}
+        # defaults of None let --check reject an explicit --delta or --gamma
+        delta = 0.0 if args.delta is None else args.delta
+        gamma = 0.01 if args.gamma is None else args.gamma
+        query = bounds.anti_exponent_f(bounds.ExponentQuery(args.alpha, delta, gamma))
+        inputs = {"alpha": args.alpha, "delta": delta, "gamma": gamma}
         result = {"kind": "exponent", "alpha": query.alpha, "delta": query.delta,
                   "gamma": query.gamma, "f_value": query.f_value,
                   "exponent": query.exponent, "branch": query.branch,
@@ -304,10 +309,10 @@ def cmd_bounds(args) -> int:
     reads = bounds.CHECKS[name][1]
     # --t defaults to 1; its parser default None tells an omitted --t apart
     values = {"m": args.m, "t": 1.0 if args.t is None else args.t}
-    for flag, given in (("m", args.m), ("t", args.t)):
+    for flag in ("m", "t", "alpha", "delta", "gamma"):
         if flag in reads and values[flag] is None:
             raise ConfigurationError(f"--check {name} requires --{flag}")
-        if flag not in reads and given is not None:
+        if flag not in reads and getattr(args, flag) is not None:
             raise ConfigurationError(f"--check {name} does not read --{flag}")
     inputs = {"check": name, "seq": args.seq, "n": args.n, **values}
     steps = _load_steps(args, n=args.n)
@@ -419,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponent", action="store_true",
                    help="evaluate the anti-concentration exponent formula")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--delta", type=float, help="--exponent only (default 0)")
+    p.add_argument("--gamma", type=float, help="--exponent only (default 0.01)")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=float, help="tail threshold in l2-norm units (default 1)")

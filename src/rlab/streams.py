@@ -4,11 +4,12 @@ Every Monte Carlo consumer derives an independent substream per replicate
 from `(master_seed, replicate)` via the Philox counter-based generator, so
 results do not depend on replicate execution order or worker count.
 
-`SubstreamSampler.signs` reads the signs from raw Philox words: sign i is
-bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half first, the
-same bit numpy's bounded-integer code (Lemire's method, which never rejects
-for range 2) keeps in `rademacher_signs`; the mapping depends on that numpy
-code, whose version `GENERATOR_VERSION` already records.
+Every sign is read from raw Philox words by one mapping, `_signs_from_words`:
+sign i is bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half
+first. `rademacher_signs` applies it to the next words of one stream and
+`SubstreamSampler.signs` to the first words of many. The tests keep numpy's
+bounded `Generator.integers` over {0, 1} as the oracle: it keeps the same bit
+of the same 32-bit halves, so these are the signs rlab drew through it before.
 """
 
 from __future__ import annotations
@@ -32,9 +33,23 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` signs of each row of uint64 Philox words, as int8."""
+    out = np.empty(raw.shape[:-1] + (size,), dtype=np.int8)
+    bits = out.view(np.uint8)
+    # (word >> 30) & 2 is twice bit 31, the low half's sign bit, and
+    # (word >> 62) & 2 twice bit 63, the high half's; the uint8 cast keeps
+    # the low byte, so one mask serves both. An odd size skips the last high half.
+    np.right_shift(raw, 30, out=bits[..., 0::2], casting="unsafe")
+    np.right_shift(raw[..., : size // 2], 62, out=bits[..., 1::2], casting="unsafe")
+    bits &= 2
+    out -= 1
+    return out
+
+
 def rademacher_signs(rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` fair signs in {-1, +1} as int64."""
-    return rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
+    """The next `size` fair signs of `rng`'s stream in {-1, +1} as int8."""
+    return _signs_from_words(rng.bit_generator.random_raw(-(-size // 2)), size)
 
 
 class SubstreamSampler:
@@ -66,16 +81,7 @@ class SubstreamSampler:
             key[1] = index & 0xFFFFFFFFFFFFFFFF
             self._bitgen.state = state
             raw[row] = self._bitgen.random_raw(words)
-        out = np.empty((len(indices), size), dtype=np.int8)
-        bits = out.view(np.uint8)
-        # (word >> 30) & 2 is twice bit 31, the low half's sign bit, and
-        # (word >> 62) & 2 twice bit 63, the high half's; the uint8 cast keeps
-        # the low byte, so one mask serves both. An odd size skips the last high half.
-        np.right_shift(raw, 30, out=bits[:, 0::2], casting="unsafe")
-        np.right_shift(raw[:, : size // 2], 62, out=bits[:, 1::2], casting="unsafe")
-        bits &= 2
-        out -= 1
-        return out.reshape(-1)
+        return _signs_from_words(raw, size).reshape(-1)
 
 
 def wilson_interval(hits: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

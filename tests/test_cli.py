@@ -240,13 +240,34 @@ class TestBounds:
         ["--check", "modular-elo", "--m", 7, "--t", 1],
         ["--check", "elo", "--exponent", "--alpha", 1],
         ["--check", "modular-elo"],
+        ["--check", "elo", "--alpha", 1],
+        ["--check", "elo", "--delta", 3],
+        ["--check", "hoeffding", "--gamma", 0.5],
+        ["--exponent", "--alpha", 1],
     ], ids=["elo_m", "elo_t", "lower_anti_t", "paley_zygmund_m", "hoeffding_m",
-            "modular_elo_t", "check_with_exponent", "modular_elo_without_m"])
+            "modular_elo_t", "check_with_exponent", "modular_elo_without_m",
+            "check_alpha", "check_delta", "check_gamma", "exponent_seq"])
     def test_flag_mismatch_exits_2(self, tmp_path, capsys, seq_file, argv):
         out = tmp_path / "rep.json"
         assert run("bounds", *argv, "--seq", seq_file, "--out", out) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seq", "nope.txt"), ("--n", 4), ("--m", 3), ("--t", 5)])
+    def test_exponent_rejects_check_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "exp.json"
+        assert run("bounds", "--exponent", "--alpha", 1, flag, value, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"--exponent does not read {flag}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_exponent_defaults_recorded(self, tmp_path):
+        out = tmp_path / "exp.json"
+        assert run("bounds", "--exponent", "--alpha", 1, "--out", out) == 0
+        report = load(out)
+        assert report["manifest"]["inputs"] == {"alpha": 1.0, "delta": 0.0, "gamma": 0.01}
+        assert (report["result"]["delta"], report["result"]["gamma"]) == (0.0, 0.01)
 
     def test_unknown_check_exits_2(self, tmp_path, capsys, seq_file):
         out = tmp_path / "rep.json"

@@ -10,7 +10,7 @@ from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
                      fit_exponent, kochen_stone_estimate, replay_final_gap,
                      run_experiment, simulate_coupling, simulate_walk)
 from rlab.sequences import StepSequenceSpec, generate, recurrence_event_window
-from rlab.streams import wilson_interval
+from rlab.streams import substream, wilson_interval
 
 
 def manifest(replicates=100, horizon=10, family="sqrt_block", seed=42,
@@ -466,6 +466,59 @@ class TestCoupling:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(DomainError):
             simulate_coupling(self.SPEC, 1.0, 0.0, seed=10)
+
+
+class TestPinnedSignResults:
+    """Results whose signs come from `rademacher_signs`, captured when it still
+    drew them through numpy's `integers(0, 2)`."""
+
+    def run(self, experiment, seed, replicates, horizon, spec, params):
+        result = run_experiment(McRunManifest.from_dict({
+            "master_seed": seed, "replicates": replicates, "horizon": horizon,
+            "spec": spec, "experiment": experiment, "params": params}))
+        del result["mc_manifest"], result["generator"]
+        return result
+
+    @pytest.mark.parametrize("k, replicates, result", [
+        (1, 200, {"fidelity_mismatches": 0, "mean_visits": 0.295}),
+        (2, 200, {"fidelity_mismatches": 0, "mean_visits": 0.66}),
+    ])
+    def test_embed2d(self, k, replicates, result):
+        got = self.run("embed2d", 7, replicates, 170, {"family": "sqrt_block"}, {"k": k})
+        assert got == {"kind": "mc_embed2d", "k": k, "traces": replicates, **result}
+
+    def test_coupling(self):
+        got = self.run("coupling", 13, 20, 1, {"family": "power", "alpha": 0.5},
+                       {"d": 1.0, "epsilon": 0.1})
+        assert got == {"kind": "mc_coupling", "d": 1.0, "epsilon": 0.1, "runs": 20,
+                       "final_gap_in_range": 20, "episodes": 85,
+                       "per_episode_win_rate": 20 / 85, "max_episodes": 11}
+
+    @pytest.mark.parametrize("spec, d, eps, seed, rep, episodes, gap, anti", [
+        (StepSequenceSpec("power", alpha=0.5), 1.0, 0.1, 2024, 0, 7, 0.09968608248794313,
+         [(101, -1), (111, 1), (112, -1), (133, 1), (134, 1), (182, 1), (183, -1),
+          (1639, 1), (1640, -1), (8913, 1), (8914, -1), (40899, 1), (40900, 1),
+          (174623, -1)]),
+        (StepSequenceSpec("power", alpha=0.5), 1.0, 0.1, 2024, 1, 3, 0.005720282005729503,
+         [(101, -1), (111, -1), (112, 1), (941, -1), (942, -1), (5023, 1)]),
+        (StepSequenceSpec("power", alpha=0.7), -0.8, 0.01, 99, 3, 4, 0.002347616798651577,
+         [(14248205, -1), (14248286, -1), (14248287, 1), (68448576, -1),
+          (68448577, 1), (229638940, -1), (229638941, -1), (682170580, 1)]),
+        (StepSequenceSpec("log_power", alpha=1.0), 0.7, 0.2, 4, 0, 3, 6.067589057896457e-10,
+         [(11, -1), (15, -1), (16, 1), (1861, -1), (1862, -1), (25181810, 1)]),
+    ], ids=["power_rep0", "power_rep1", "power_negative", "log_power"])
+    def test_anti_steps(self, spec, d, eps, seed, rep, episodes, gap, anti):
+        pair = simulate_coupling(spec, d, eps, seed=seed, replicate=rep)
+        assert (pair.episodes_used, pair.final_gap, pair.anti_steps) == (episodes, gap, anti)
+
+    def test_game_signs_are_the_stream_prefix(self):
+        # each anti-coupled sign is the next sign of the replicate's substream
+        spec = StepSequenceSpec("power", alpha=0.6)
+        for rep in range(30):
+            pair = simulate_coupling(spec, 1.5, 0.05, seed=9, replicate=rep)
+            signs = [s for _, s in pair.anti_steps]
+            rng = substream(9, rep)
+            assert signs == (rng.integers(0, 2, size=len(signs)) * 2 - 1).tolist()
 
 
 def _stats(per_event, joint, replicates):

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rlab.mc import _sign_stream
 from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
                           substream, wilson_interval)
+
+
+def oracle_signs(rng, size):
+    """numpy's bounded-integer signs, the mapping the raw-word reads must equal."""
+    return rng.integers(0, 2, size=size, dtype=np.int64) * 2 - 1
 
 
 class TestSubstreams:
@@ -44,6 +50,36 @@ class TestSubstreams:
 
     def test_generator_version_names_family(self):
         assert GENERATOR_VERSION.startswith("philox4x64/")
+
+
+class TestSignsAgainstOracle:
+    """Every sign path reads raw Philox words; numpy's `integers(0, 2)` on a
+    fresh stream is the independent oracle."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 63, 64, 65, 2730, 2731])
+    def test_prefixes_match(self, size):
+        for seed, rep in [(0, 0), (7, 3), (2 ** 64 - 1, 2 ** 40 + 1)]:
+            want = oracle_signs(substream(seed, rep), size)
+            got = rademacher_signs(substream(seed, rep), size)
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+            assert np.array_equal(SubstreamSampler().signs(seed, [rep], size), want)
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1),
+           st.lists(st.integers(1, 200).map(lambda k: 2 * k), min_size=1, max_size=6))
+    def test_even_blocks_continue_the_stream(self, seed, rep, blocks):
+        rng = substream(seed, rep)
+        got = np.concatenate([rademacher_signs(rng, size) for size in blocks])
+        assert np.array_equal(got, oracle_signs(substream(seed, rep), sum(blocks)))
+
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_coupling_stream_matches_single_draws(self, block):
+        # 333 signs cross several block boundaries at either block size
+        for seed, rep in [(31, 0), (2024, 5), (2 ** 63 + 1, 2 ** 33)]:
+            rng = substream(seed, rep)
+            want = [int(oracle_signs(rng, 1)[0]) for _ in range(333)]
+            stream = _sign_stream(substream(seed, rep), block)
+            got = [next(stream) for _ in range(333)]
+            assert got == want and {type(s) for s in got} == {int}
 
 
 class TestWilson:
