@@ -538,12 +538,6 @@ class _SequenceView:
         return hi
 
 
-def _sign_stream(rng, block: int = 64):
-    """The signs of `rng`'s stream one at a time, drawn `block` (even) at a time."""
-    while True:
-        yield from rademacher_signs(rng, block).tolist()
-
-
 def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: int,
                       replicate: int = 0, horizon: int | None = None,
                       dps: int = 60) -> CoupledPair:
@@ -561,7 +555,7 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     view = _SequenceView(spec, horizon)
-    signs = _sign_stream(substream(seed, replicate))
+    rng = substream(seed, replicate)
     with mp.workdps(dps):
         D = mpf(float(d))
         eps = mpf(float(epsilon))
@@ -587,14 +581,14 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
                 raise InfeasibleError(
                     f"episode {episodes}: step gaps past n={n_i} are too coarse for "
                     f"delta={float(delta)}")
-            s1 = next(signs)
+            # one word per episode: s1 is its low half's sign, s2 its high half's
+            s1, s2 = rademacher_signs(rng, 2).tolist()
             D = D + 2 * s1 * view.a(n_i)
             anti.append((n_i, s1))
             if 0 <= D <= eps:
                 wins.append(True)
                 return CoupledPair(float(d), float(epsilon), episodes, float(D),
                                    wins, anti, n_i, len(view._memo))
-            s2 = next(signs)
             D = D + 2 * s2 * view.a(m_i)
             anti.append((m_i, s2))
             t = m_i

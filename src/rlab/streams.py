@@ -48,7 +48,13 @@ def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
 
 
 def rademacher_signs(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The next `size` fair signs of `rng`'s stream in {-1, +1} as int8."""
+    """The next `size` fair signs of `rng`'s stream in {-1, +1} as int8.
+
+    Signs are read from whole raw words, so only even sizes continue the
+    stream: an odd size drops the high half of its last word. `rng` must not
+    also be drawn from through the `Generator` API, whose buffered 32-bit
+    half `random_raw` skips.
+    """
     return _signs_from_words(rng.bit_generator.random_raw(-(-size // 2)), size)
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from rlab.mc import _sign_stream
 from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
                           substream, wilson_interval)
 
@@ -56,13 +55,21 @@ class TestSignsAgainstOracle:
     """Every sign path reads raw Philox words; numpy's `integers(0, 2)` on a
     fresh stream is the independent oracle."""
 
-    @pytest.mark.parametrize("size", [0, 1, 2, 3, 63, 64, 65, 2730, 2731])
-    def test_prefixes_match(self, size):
-        for seed, rep in [(0, 0), (7, 3), (2 ** 64 - 1, 2 ** 40 + 1)]:
-            want = oracle_signs(substream(seed, rep), size)
-            got = rademacher_signs(substream(seed, rep), size)
-            assert got.dtype == np.int8 and np.array_equal(got, want)
-            assert np.array_equal(SubstreamSampler().signs(seed, [rep], size), want)
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.lists(st.one_of(st.integers(0, 5000), st.integers(2 ** 32, 2 ** 64 - 1)),
+                    min_size=1, max_size=4),
+           st.integers(0, 3000))
+    @example(0, [0], 0)
+    @example(7, [3, 4], 1)
+    @example(2 ** 64 - 1, [2 ** 40 + 1, 0, 9], 63)
+    @example(31, [5], 64)
+    @example(2024, [0, 2 ** 33], 65)
+    @example(9, [1, 2], 2731)
+    def test_prefixes_match(self, seed, reps, size):
+        want = np.concatenate([oracle_signs(substream(seed, rep), size) for rep in reps])
+        assert np.array_equal(SubstreamSampler().signs(seed, reps, size), want)
+        got = np.concatenate([rademacher_signs(substream(seed, rep), size) for rep in reps])
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1),
            st.lists(st.integers(1, 200).map(lambda k: 2 * k), min_size=1, max_size=6))
@@ -71,15 +78,13 @@ class TestSignsAgainstOracle:
         got = np.concatenate([rademacher_signs(rng, size) for size in blocks])
         assert np.array_equal(got, oracle_signs(substream(seed, rep), sum(blocks)))
 
-    @pytest.mark.parametrize("block", [2, 64])
-    def test_coupling_stream_matches_single_draws(self, block):
-        # 333 signs cross several block boundaries at either block size
-        for seed, rep in [(31, 0), (2024, 5), (2 ** 63 + 1, 2 ** 33)]:
-            rng = substream(seed, rep)
-            want = [int(oracle_signs(rng, 1)[0]) for _ in range(333)]
-            stream = _sign_stream(substream(seed, rep), block)
-            got = [next(stream) for _ in range(333)]
-            assert got == want and {type(s) for s in got} == {int}
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
+    def test_episode_pairs_match_single_draws(self, seed, rep):
+        # the coupling game draws two signs per episode; 160 episodes' pairs
+        # are the next 320 one-at-a-time draws of the stream
+        rng, oracle = substream(seed, rep), substream(seed, rep)
+        got = [s for _ in range(160) for s in rademacher_signs(rng, 2).tolist()]
+        assert got == [int(oracle_signs(oracle, 1)[0]) for _ in range(320)]
 
 
 class TestWilson:
