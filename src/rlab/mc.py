@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from mpmath import mp, mpf
@@ -382,21 +383,21 @@ _MAX_EPISODES = 10_000
 class _SequenceView:
     """Random access to a_n for the coupling game, each a(n) evaluated once.
 
-    Values are memoised, so a view serves one working precision. Power steps
-    (0 < alpha < 1) are inverted in closed form: a(m) >= t exactly when
-    m >= t**(1/alpha), and gap(n) < h first holds just above
-    (h/alpha)**(1/(alpha-1)) + 1/2; log_power values invert as
-    m >= exp(t**(1/alpha)). `_confirmed` takes such a guess only when its
-    neighbours clear the threshold by more than rounding; otherwise, and for
-    log_power gaps, doubling and bisection find the same index, valid for
-    arbitrarily large indices. Custom sequences use linear scans over their
-    finite horizon.
+    Values are memoised, so a view serves one working precision. Both index
+    queries take one search, `_first`: a closed-form guess that `_confirmed`
+    checks against rounding, else doubling and bisection, which find the same
+    index. Values invert as m >= t**(1/alpha) (power) or m >= exp(t**(1/alpha))
+    (log_power); gap(n) < h first holds just above x + 1/2 where a'(x) = h.
+    Custom gaps take the exact predicate "every gap from n on is below h" and
+    no guess; custom values need not increase, so they are scanned in order.
     """
 
     def __init__(self, spec: StepSequenceSpec, horizon: int | None):
         self.spec = spec
         self._memo: dict[int, mpf] = {}
-        fam = spec.family
+        self.kind = fam = spec.family
+        self.alpha = spec.alpha
+        self.horizon = horizon or _DEFAULT_COUPLING_HORIZON
         if fam == "power":
             if spec.floor_values:
                 raise ConfigurationError(
@@ -404,10 +405,7 @@ class _SequenceView:
             if not (spec.alpha and 0.0 < spec.alpha < 1.0):
                 raise ConfigurationError(
                     "coupling requires power alpha in (0, 1) for vanishing gaps")
-            self.kind = "power"
-            self.alpha = spec.alpha
             self.gap_floor = 2
-            self.horizon = horizon or _DEFAULT_COUPLING_HORIZON
         elif fam == "log_power":
             if spec.floor_values:
                 raise ConfigurationError(
@@ -415,22 +413,16 @@ class _SequenceView:
                     "vanishing gaps")
             if not (spec.alpha and spec.alpha > 0):
                 raise ConfigurationError("log_power requires alpha > 0")
-            self.kind = "log_power"
-            self.alpha = spec.alpha
             self.gap_floor = max(3, int(math.ceil(math.exp(max(0.0, spec.alpha - 1.0)))) + 1)
-            self.horizon = horizon or _DEFAULT_COUPLING_HORIZON
         elif fam == "custom":
             values = [float(v) for v in (spec.custom_values or ())]
             if len(values) < 3:
                 raise ConfigurationError("custom coupling sequence needs >= 3 values")
-            self.kind = "custom"
             self.values = values
             self.horizon = min(horizon or len(values), len(values))
             gaps = [abs(b - a) for a, b in zip(values, values[1:])]
             # suffix maxima let us check "all later gaps below delta/2" exactly
-            self.suffix_gap = list(gaps)
-            for i in range(len(gaps) - 2, -1, -1):
-                self.suffix_gap[i] = max(self.suffix_gap[i], self.suffix_gap[i + 1])
+            self.suffix_gap = list(accumulate(reversed(gaps), max))[::-1]
         else:
             raise ConfigurationError(
                 f"family {fam!r} does not provide unbounded steps with vanishing gaps")
@@ -458,8 +450,7 @@ class _SequenceView:
         margin(c) > tol and, above lo, margin(c - 1) < -tol, with
         tol = a(c) * 2**(8 - prec) far above the rounding of a, fixes the
         computed sign of `margin` at every index the doubling and bisection
-        probe: those below 2c, and the horizon, where a is larger still. So
-        they would return the same c.
+        probe, all of them below 2c. So they would return the same c.
         """
         if not guess < self.horizon + 1:
             return None
@@ -473,36 +464,56 @@ class _SequenceView:
                 return None
         return None
 
+    def _first(self, lo: int, holds, unreachable: str, guess=None, margin=None) -> int:
+        """Smallest n in [lo, horizon] where the monotone predicate `holds` is
+        true: `guess` if `_confirmed` takes it, else doubling then bisection."""
+        if lo > self.horizon:
+            raise InfeasibleError(unreachable)
+        if guess is not None:
+            found = self._confirmed(guess, lo, margin)
+            if found is not None:
+                return found
+        hi = lo
+        while not holds(hi):
+            if hi >= self.horizon:
+                raise InfeasibleError(unreachable)
+            lo, hi = hi, min(2 * hi, self.horizon)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def _gap_guess(self, h: mpf) -> mpf | None:
+        """About x + 3/2, where a'(x) = h (see the class docstring)."""
+        alpha = mpf(self.alpha)
+        if self.kind == "power":
+            return (h / alpha) ** (1 / (alpha - 1)) + 1.5
+        # alpha * u**(alpha - 1) / e**u = h on u = ln x: f(u) = u - (alpha - 1) ln u - L
+        # is 0, and Newton from u > alpha - 1 with f(u) <= 0 stays where f' > 0
+        L = mp.log(alpha / h)
+        u = L + (alpha - 1) * mp.log(L) if L > 1 else alpha - 1
+        if not u > alpha - 1:
+            return None
+        for _ in range(8):
+            u -= (u - (alpha - 1) * mp.log(u) - L) / (1 - (alpha - 1) / u)
+        return mp.exp(u) + 1.5
+
     def first_gap_below(self, lo: int, half_delta: mpf) -> int:
         """Smallest n in [lo, horizon] with every later gap below half_delta."""
         if self.kind == "custom":
-            for n in range(max(lo, 2), self.horizon + 1):
-                if self.suffix_gap[n - 2] < half_delta:
-                    return n
-            raise InfeasibleError(
+            return self._first(
+                max(lo, 2), lambda n: self.suffix_gap[n - 2] < half_delta,
                 f"no index on the horizon has all later gaps below {float(half_delta)}")
         n = max(lo, self.gap_floor)
         if n > self.horizon:
             raise InfeasibleError("no indices left on the horizon")
-        if self.kind == "power":
-            alpha = mpf(self.alpha)
-            guess = (half_delta / alpha) ** (1 / (alpha - 1)) + 1.5
-            found = self._confirmed(guess, n, lambda k: half_delta - self.gap(k))
-            if found is not None:
-                return found
-        lo_b = hi = n
-        while self.gap(hi) >= half_delta:
-            if hi >= self.horizon:
-                raise InfeasibleError(
-                    f"gap threshold {float(half_delta)} unreachable within horizon")
-            lo_b, hi = hi, min(2 * hi, self.horizon)
-        while hi - lo_b > 1:
-            mid = (lo_b + hi) // 2
-            if self.gap(mid) < half_delta:
-                hi = mid
-            else:
-                lo_b = mid
-        return hi
+        return self._first(
+            n, lambda k: self.gap(k) < half_delta,
+            f"gap threshold {float(half_delta)} unreachable within horizon",
+            self._gap_guess(half_delta), lambda k: half_delta - self.gap(k))
 
     def first_value_at_least(self, after: int, target: mpf) -> int:
         """Smallest m in (after, horizon] with a(m) >= target."""
@@ -512,30 +523,12 @@ class _SequenceView:
                     return m
             raise InfeasibleError(
                 f"no step on the horizon reaches value {float(target)}")
-        if after >= self.horizon:
-            raise InfeasibleError(
-                f"steps on the horizon never reach value {float(target)}")
         root = target ** (1 / mpf(self.alpha))
-        guess = mp.ceil(root if self.kind == "power" else mp.exp(root))
-        found = self._confirmed(guess, after + 1, lambda k: self.a(k) - target)
-        if found is not None:
-            return found
-        if self.a(after + 1) >= target:
-            return after + 1
-        if self.a(self.horizon) < target:
-            raise InfeasibleError(
-                f"steps on the horizon never reach value {float(target)}")
-        lo, hi = after + 1, 2 * (after + 1)
-        while hi < self.horizon and self.a(hi) < target:
-            lo, hi = hi, hi * 2
-        hi = min(hi, self.horizon)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.a(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return self._first(
+            after + 1, lambda k: self.a(k) >= target,
+            f"steps on the horizon never reach value {float(target)}",
+            mp.ceil(root if self.kind == "power" else mp.exp(root)),
+            lambda k: self.a(k) - target)
 
 
 def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: int,
@@ -641,9 +634,11 @@ def _positive(value) -> int:
 
 
 def _real(value):
-    """`value` itself if it is an int or a float (a bool is neither)."""
+    """`value` itself if it is an int or a finite float (a bool is neither)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(value)
     return value
 
 

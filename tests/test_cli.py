@@ -413,6 +413,22 @@ class TestMc:
         assert "rlab: error:" in err and f"params.{name}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment,params,name", [
+        ("interval_hits", {"C": math.nan, "windows": [[1, 4]]}, "C"),
+        ("interval_hits", {"C": math.inf, "windows": [[1, 4]]}, "C"),
+        ("coupling", {"epsilon": math.inf}, "epsilon"),
+        ("coupling", {"d": math.nan}, "d"),
+        ("coupling", {"d": -math.inf}, "d"),
+    ], ids=["C_nan", "C_inf", "epsilon_inf", "d_nan", "d_minus_inf"])
+    def test_non_finite_param_exits_2(self, tmp_path, capsys, experiment, params, name):
+        man = write_manifest(tmp_path, experiment=experiment, params=params,
+                             spec={"family": "power", "alpha": 0.5})
+        out = tmp_path / "report.json"
+        assert run("mc", "--manifest", man, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"malformed manifest params.{name}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_replayed_report_with_unread_spec_field_exits_2(self, tmp_path, capsys):
         # a report written before specs rejected the fields their family never reads
         man = write_manifest(tmp_path)

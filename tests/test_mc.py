@@ -333,6 +333,17 @@ def oracle_first_value_at_least(view, after, target):
     return hi
 
 
+def oracle_custom_gap_below(spec, horizon, lo, half_delta):
+    """Oracle: the first n from max(lo, 2) whose gap and every later one,
+    to the end of the sequence, are below half_delta."""
+    values = spec.custom_values
+    for n in range(max(lo, 2), horizon + 1):
+        if all(abs(b - a) < half_delta for a, b in zip(values[n - 2:], values[n - 1:])):
+            return n
+    raise InfeasibleError(
+        f"no index on the horizon has all later gaps below {float(half_delta)}")
+
+
 def outcome(search, *args):
     try:
         return search(*args)
@@ -393,15 +404,36 @@ class TestCouplingSearchAgainstOracle:
                     want.episodes_used, want.final_gap, want.anti_steps)
 
     def test_few_evaluations_per_power_episode(self):
-        episodes = evaluations = 0
-        for alpha in (0.5, 0.6, 0.7):
-            for eps in (0.1, 0.01):
-                for rep in range(40):
-                    pair = simulate_coupling(StepSequenceSpec("power", alpha=alpha),
-                                             1.0 + rep / 20, eps, seed=5, replicate=rep)
-                    episodes += pair.episodes_used
-                    evaluations += pair.evaluations
-        assert evaluations / episodes <= 6
+        for family, alphas in (("power", (0.5, 0.6, 0.7)), ("log_power", (1.0,)),
+                               ("log_power", (2.0,))):
+            episodes = evaluations = 0
+            for alpha in alphas:
+                for eps in (0.1, 0.01):
+                    for rep in range(40):
+                        try:
+                            pair = simulate_coupling(StepSequenceSpec(family, alpha=alpha),
+                                                     1.0 + rep / 20, eps, seed=5, replicate=rep)
+                        except InfeasibleError:  # log_power values outgrow the horizon
+                            continue
+                        episodes += pair.episodes_used
+                        evaluations += pair.evaluations
+            assert evaluations / episodes <= 6, (family, alphas)
+
+    def test_custom_gaps_match_linear_scan(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            size = int(rng.integers(3, 80))
+            steps = rng.exponential(size=size) * rng.random(size) ** 4
+            values = np.cumsum(steps) if rng.random() < 0.7 else rng.normal(size=size)
+            spec = StepSequenceSpec("custom", custom_values=tuple(values.tolist()))
+            view = _SequenceView(spec, int(rng.integers(1, size)))
+            gaps = np.abs(np.diff(values))
+            for _ in range(6):
+                lo = int(rng.integers(0, size + 2))
+                # a threshold equal to a gap sits on the strict inequality
+                for h in (mpf(10 ** rng.uniform(-4, 0.5)), mpf(float(rng.choice(gaps)))):
+                    assert (outcome(view.first_gap_below, lo, h)
+                            == outcome(oracle_custom_gap_below, spec, view.horizon, lo, h))
 
 
 class TestCoupling:
