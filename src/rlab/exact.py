@@ -229,14 +229,15 @@ def _lattice_law(int_steps, limit, exact=False, on_step=None):
     return slots * (2 * g) - total, weights
 
 
-def pmf_from_atoms(atoms: dict, tol: float = 1e-9) -> ExactPMF:
-    """Build a float-mode PMF from a value -> probability mapping (must sum to 1)."""
+def pmf_from_atoms(atoms: dict) -> ExactPMF:
+    """Build a float-mode PMF from a value -> probability mapping (must sum to 1
+    within 1e-9)."""
     if not atoms:
         raise DomainError("a PMF needs at least one atom")
     support = sorted(atoms)
     probs = [atoms[v] for v in support]
     total = math.fsum(probs)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-9:
         raise DomainError(f"atom probabilities sum to {total}, not 1")
     return ExactPMF(np.asarray(support, dtype=np.int64),
                     np.asarray(probs, dtype=np.float64), 0)

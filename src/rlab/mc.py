@@ -15,6 +15,7 @@ from itertools import accumulate
 import numpy as np
 from mpmath import mp, mpf
 
+from . import exact
 from .bounds import kochen_stone_ratio
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .sequences import StepSequenceSpec, generate, recurrence_event_window
@@ -293,15 +294,11 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     for vals, cnts in _map_chunks(worker, R, n, threads):
         for v, c in zip(vals.tolist(), cnts.tolist()):
             totals[v] = totals.get(v, 0) + c
-    if integral:
-        peak = max(totals.values())
-    else:
-        # largest mass of 16 consecutive 1/16-cells = one sliding unit window
-        keys = np.array(sorted(totals), dtype=np.int64)
-        csum = np.concatenate(([0], np.cumsum([totals[int(k)] for k in keys])))
-        ends = np.searchsorted(keys, keys + (_REAL_STEP_GRID - 1), side="right")
-        peak = int(np.max(csum[ends] - csum[: keys.size]))
-    q1_hat = peak / R
+    # the empirical law in counts over R; a real-step unit window spans 16 cells
+    keys = sorted(totals)
+    law = exact.ExactPMF(np.array(keys, dtype=np.int64),
+                         np.array([totals[k] for k in keys], dtype=np.int64), n, R)
+    q1_hat = float(exact.concentration_q(law, 1 if integral else _REAL_STEP_GRID).result)
     stderr = math.sqrt(q1_hat * (1.0 - q1_hat) / R)
     return Q1Estimate(q1_hat, stderr, R, n, low_sample=R * q1_hat < 100.0)
 
@@ -574,21 +571,15 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
                 raise InfeasibleError(
                     f"episode {episodes}: step gaps past n={n_i} are too coarse for "
                     f"delta={float(delta)}")
-            # one word per episode: s1 is its low half's sign, s2 its high half's
-            s1, s2 = rademacher_signs(rng, 2).tolist()
-            D = D + 2 * s1 * view.a(n_i)
-            anti.append((n_i, s1))
-            if 0 <= D <= eps:
-                wins.append(True)
-                return CoupledPair(float(d), float(epsilon), episodes, float(D),
-                                   wins, anti, n_i, len(view._memo))
-            D = D + 2 * s2 * view.a(m_i)
-            anti.append((m_i, s2))
+            # one word per episode: its low half signs n_i, its high half m_i
+            for idx, sign in zip((n_i, m_i), rademacher_signs(rng, 2).tolist()):
+                D = D + 2 * sign * view.a(idx)
+                anti.append((idx, sign))
+                if 0 <= D <= eps:
+                    wins.append(True)
+                    return CoupledPair(float(d), float(epsilon), episodes, float(D),
+                                       wins, anti, idx, len(view._memo))
             t = m_i
-            if 0 <= D <= eps:
-                wins.append(True)
-                return CoupledPair(float(d), float(epsilon), episodes, float(D),
-                                   wins, anti, m_i, len(view._memo))
             wins.append(False)
         raise InfeasibleError(f"no alignment within {_MAX_EPISODES} episodes")
 

@@ -27,6 +27,7 @@ custom          an explicit list of non-negative values
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -192,14 +193,7 @@ class _Tabulated:
         if self.values[-1] < target:
             raise InfeasibleError(
                 f"growth_fn table tops out at {self.values[-1]} < required {target}")
-        lo, hi = 1, len(self.values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.values[mid - 1] >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect.bisect_left(self.values, target) + 1
 
 
 def generate(spec: StepSequenceSpec, n: int) -> list:
@@ -700,17 +694,16 @@ def log_power_ratio_window(start: int, stop: int) -> LogRatioBounds:
                           lhs2_lo - rhs2 - err, lhs2_hi - rhs2 + err)
 
 
-def check_sparse_conditions(counts: SequenceCounts, epsilon: float,
-                            valueset=None) -> SparseConditionReport:
+def check_sparse_conditions(counts: SequenceCounts, epsilon: float) -> SparseConditionReport:
     """Witness check: each value s needs some s' < s with L_{s'} >= epsilon * s**2."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     table = counts.counts
-    values = sorted(valueset) if valueset is not None else sorted(table)
+    values = sorted(table)
     witnesses: dict[int, int | None] = {}
     for s in values:
         found = None
-        for cand in sorted(table):
+        for cand in values:
             if cand >= s:
                 break
             if table[cand] >= epsilon * s * s:

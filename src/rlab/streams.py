@@ -90,13 +90,13 @@ class SubstreamSampler:
         return _signs_from_words(raw, size).reshape(-1)
 
 
-def wilson_interval(hits: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at WILSON_CONFIDENCE."""
     if trials <= 0:
         raise ValueError("wilson_interval needs at least one trial")
     p = hits / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     centre = p + z2 / (2.0 * trials)
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return max(0.0, (centre - half) / denom), min(1.0, (centre + half) / denom)

@@ -32,23 +32,36 @@ def _random_steps(rng, n, low=1, high=30):
     return rng.integers(low, high + 1, size=n).tolist()
 
 
-def suite_elo(seed: int = 20240801, max_n: int = 18, lists_per_n: int = 10,
-              **_) -> VerifySuiteResult:
-    """Exact Q_{2c} never exceeds the central-binomial bound when all steps >= c."""
+def _check_suite(check, seed, max_n, lists_per_n, grid=({},), record=None):
+    """Run `bounds.run_check(check, ...)` with each parameter set of `grid` on
+    `lists_per_n` random step lists of each length 1..max_n, building each
+    list's law once. `record` = (constant, report field) keeps the field's
+    smallest value as an empirical constant."""
     rng = np.random.default_rng(seed)
-    res = VerifySuiteResult("elo", 0)
+    res = VerifySuiteResult(check.replace("-", "_"), 0)
     worst = math.inf
     for n in range(1, max_n + 1):
         for _ in range(lists_per_n):
             steps = _random_steps(rng, n)
-            rep = bounds.run_check("elo", steps)
-            res.cases_run += 1
-            worst = min(worst, rep.slack)
-            if not rep.satisfied:
-                res.failures.append(f"n={n} steps={steps}: "
-                                    f"Q_{{2c}}={rep.compared_value} > {rep.bound_value}")
-    res.empirical_constants["min_slack"] = worst
+            law = exact.walk_pmf(steps)
+            for params in grid:
+                rep = bounds.run_check(check, steps, law, **params)
+                res.cases_run += 1
+                if record:
+                    worst = min(worst, getattr(rep, record[1]))
+                if not rep.satisfied:
+                    res.failures.append(
+                        f"n={n} {params} steps={steps}: {check} needs "
+                        f"{rep.compared_value} <= {rep.bound_value}")
+    if record:
+        res.empirical_constants[record[0]] = worst
     return res
+
+
+def suite_elo(seed: int = 20240801, max_n: int = 18, lists_per_n: int = 10,
+              **_) -> VerifySuiteResult:
+    """Exact Q_{2c} never exceeds the central-binomial bound when all steps >= c."""
+    return _check_suite("elo", seed, max_n, lists_per_n, record=("min_slack", "slack"))
 
 
 def suite_modular_elo(seed: int = 20240801, max_m: int = 64, lists_per_m: int = 3,
@@ -90,38 +103,15 @@ def suite_modular_elo(seed: int = 20240801, max_m: int = 64, lists_per_m: int = 
 def suite_hoeffding(seed: int = 20240801, max_n: int = 18, lists_per_n: int = 6,
                     t_grid=(0.0, 0.5, 1.0, 2.0, 3.0), **_) -> VerifySuiteResult:
     """Exact P(X >= t * l2) <= exp(-t^2 / 2)."""
-    rng = np.random.default_rng(seed)
-    res = VerifySuiteResult("hoeffding", 0)
-    for n in range(1, max_n + 1):
-        for _ in range(lists_per_n):
-            steps = _random_steps(rng, n)
-            pmf = exact.walk_pmf(steps)
-            for t in t_grid:
-                rep = bounds.run_check("hoeffding", steps, pmf, t=t)
-                res.cases_run += 1
-                if not rep.satisfied:
-                    res.failures.append(f"n={n} t={t} steps={steps}: "
-                                        f"tail {rep.compared_value} > {rep.bound_value}")
-    return res
+    return _check_suite("hoeffding", seed, max_n, lists_per_n, [{"t": t} for t in t_grid])
 
 
 def suite_paley_zygmund(seed: int = 20240801, max_n: int = 18, lists_per_n: int = 6,
                         **_) -> VerifySuiteResult:
     """Exact P(|X| >= l2/2) >= 3/16."""
-    rng = np.random.default_rng(seed)
-    res = VerifySuiteResult("paley_zygmund", 0)
-    worst = math.inf
-    for n in range(1, max_n + 1):
-        for _ in range(lists_per_n):
-            steps = _random_steps(rng, n)
-            rep = bounds.run_check("paley-zygmund", steps)
-            mass = rep.bound_value  # a floor check reports the quantity as bound_value
-            res.cases_run += 1
-            worst = min(worst, mass)
-            if not rep.satisfied:
-                res.failures.append(f"n={n} steps={steps}: P(|X|>=l2/2)={mass} < 3/16")
-    res.empirical_constants["min_mass"] = worst
-    return res
+    # a floor check reports the quantity, the mass, as bound_value
+    return _check_suite("paley-zygmund", seed, max_n, lists_per_n,
+                        record=("min_mass", "bound_value"))
 
 
 def _random_pmf(rng, max_atoms=8, span=6):

@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 from rlab.cli import main
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.sequences import (_EXACT_COUNTS_TOP, FAMILIES, StepSequenceSpec,
-                            check_ints_conditions, check_sparse_conditions,
+                            _Tabulated, check_ints_conditions, check_sparse_conditions,
                             generate, log_power_counts, log_power_ratio_bounds,
                             log_power_ratio_window, read_sequence_file,
                             recurrence_event_window, sqrt_block_start,
@@ -132,6 +132,22 @@ class TestPrefixStability:
     def test_fast_increasing_prefix(self):
         s = spec(family="fast_increasing", growth_fn=[1.0, 2.0, 4.0])
         assert generate(s, 9) == generate(s, 17)[:9]
+
+
+class TestTabulatedSearch:
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.data())
+    def test_first_index_at_least_matches_linear_scan(self, raw, data):
+        table = sorted(float(v) for v in raw)  # non-decreasing, repeats likely
+        # halves fall below, on, between and above the entries
+        target = data.draw(st.one_of(st.sampled_from(table),
+                                     st.integers(-2, 16).map(lambda k: k / 2)))
+        f = _Tabulated(table)
+        want = next((i for i, v in enumerate(table, 1) if v >= target), None)
+        if want is None:
+            with pytest.raises(InfeasibleError, match="tops out"):
+                f.first_index_at_least(target)
+        else:
+            assert f.first_index_at_least(target) == want
 
 
 # the spec fields each family reads, written out apart from FAMILIES

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from rlab import bounds
 from rlab.errors import ConfigurationError
 from rlab.verify import SUITES, run_suite
 
@@ -61,3 +64,31 @@ def test_default_seed_results_pinned(name, cases_run, constants):
     res = run_suite(name)
     assert (res.cases_run, res.failures, res.empirical_constants) == (
         cases_run, [], constants)
+
+
+@pytest.mark.parametrize("name,knobs,per_list", [
+    ("elo", {"max_n": 4, "lists_per_n": 2}, 1),
+    ("hoeffding", {"max_n": 4, "lists_per_n": 2, "t_grid": (0.5, 2.0)}, 2),
+    ("paley_zygmund", {"max_n": 4, "lists_per_n": 2}, 1),
+])
+def test_failing_check_is_described(monkeypatch, name, knobs, per_list):
+    # the suites pass at every seed, so fail every case on purpose
+    real = bounds.run_check
+    seen = []
+
+    def failing(check, steps, law=None, **params):
+        rep = dataclasses.replace(real(check, steps, law, **params), satisfied=False)
+        seen.append((list(steps), rep))
+        return rep
+
+    monkeypatch.setattr(bounds, "run_check", failing)
+    res = run_suite(name, **knobs)
+    cases = knobs["max_n"] * knobs["lists_per_n"] * per_list
+    assert res.cases_run == len(res.failures) == len(seen) == cases
+    assert not res.ok
+    for text, (steps, rep) in zip(res.failures, seen):
+        assert text.startswith(f"n={len(steps)} ")
+        assert f"steps={steps}" in text
+        assert str(rep.compared_value) in text and str(rep.bound_value) in text
+        if name == "hoeffding":
+            assert f"'t': {rep.params['t']}" in text
