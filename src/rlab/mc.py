@@ -200,6 +200,18 @@ def _map_chunks(worker, total, width, threads):
     return [worker(chunk) for chunk in _chunks(total, width)]
 
 
+def _narrow_walk_steps(steps: np.ndarray, C) -> tuple[np.ndarray, int]:
+    """Integer steps cast for the walk, and c = min(floor(C), S) for their sum S.
+
+    For integer x, |x| <= C holds exactly when |x| <= c, since |x| <= S. Every
+    position x + c lies in [c - S, S + c], which int32 holds when
+    S + c < 2**31 and int64 always does (S < 2**62).
+    """
+    S = int(steps.sum())
+    c = min(math.floor(C), S)
+    return steps.astype(np.int32 if S + c < 1 << 31 else np.int64), c
+
+
 def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
                            threads: int = 1) -> RecurrenceStats:
     """Hit frequencies of {exists i in window: |X_i| <= C} for disjoint index windows.
@@ -217,15 +229,30 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
         if s2 <= e1:
             raise ConfigurationError(
                 f"windows ({s1},{e1}) and ({s2},{e2}) overlap")
-    steps = _steps_array(manifest)
     K = len(windows)
+    last = max((e for _, e in windows), default=0)
+    steps = _steps_array(manifest)[:last]
+    integral = steps.dtype.kind == "i"
+    if integral:
+        steps, c = _narrow_walk_steps(steps, C)
 
     def worker(chunk):
-        pos = _sign_matrix(manifest, chunk, manifest.horizon) * steps
-        np.cumsum(pos, axis=1, out=pos)
+        signs = _sign_matrix(manifest, chunk, last)
+        if integral:
+            # |x| <= c exactly when x + c, read unsigned, is at most 2c
+            walk = np.multiply(signs, steps, dtype=steps.dtype)
+            np.cumsum(walk, axis=1, dtype=walk.dtype, out=walk)
+            walk += c
+            walk = walk.view(f"u{walk.itemsize}")
+            bound = walk.dtype.type(2 * c)
+        else:
+            walk = signs * steps
+            np.cumsum(walk, axis=1, out=walk)
+            np.abs(walk, out=walk)
+            bound = C
         hits = np.empty((len(chunk), K), dtype=bool)
         for j, (s, e) in enumerate(windows):
-            hits[:, j] = (np.abs(pos[:, s - 1:e]) <= C).any(axis=1)
+            hits[:, j] = (walk[:, s - 1:e] <= bound).any(axis=1)
         counts = hits.sum(axis=0).astype(np.int64)
         joint = np.zeros((K, K), dtype=np.int64)
         for j in range(K):
@@ -233,8 +260,8 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
                 joint[j, k] = int(np.count_nonzero(hits[:, j] & hits[:, k]))
         return counts, joint
 
-    partials = _map_chunks(worker, manifest.replicates, manifest.horizon, threads)
-    counts = sum(c for c, _ in partials)
+    partials = _map_chunks(worker, manifest.replicates, last, threads)
+    counts = sum(n for n, _ in partials)
     joint = sum(j for _, j in partials)
     R = manifest.replicates
     per_event = {}
@@ -646,7 +673,7 @@ def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
         if windows is None:
             ks = _param(params, "block_ks", lambda v: [_integer(k) for k in v])
             windows = [recurrence_event_window(k) for k in ks]
-        # checked, not converted: a float C would compare the int64 walk in float64
+        # checked, not converted: an integer walk compares exactly against floor(C)
         C = _param(params, "C", _real, 0.0)
         stats = estimate_interval_hits(manifest, C, windows, threads=threads)
         result = {

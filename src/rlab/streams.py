@@ -6,10 +6,12 @@ results do not depend on replicate execution order or worker count.
 
 Every sign is read from raw Philox words by one mapping, `_signs_from_words`:
 sign i is bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half
-first. `rademacher_signs` applies it to the next words of one stream and
-`SubstreamSampler.signs` to the first words of many. The tests keep numpy's
-bounded `Generator.integers` over {0, 1} as the oracle: it keeps the same bit
-of the same 32-bit halves, so these are the signs rlab drew through it before.
+first. It is read as the top bit of byte 3 of that half, with the words laid
+out little-endian on any machine. `rademacher_signs` applies it to the next
+words of one stream and `SubstreamSampler.signs` to the first words of many.
+The tests keep numpy's bounded `Generator.integers` over {0, 1} as the
+oracle: it keeps the same bit of the same 32-bit halves, so these are the
+signs rlab drew through it before.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
     """The first `size` signs of each row of uint64 Philox words, as int8."""
     out = np.empty(raw.shape[:-1] + (size,), dtype=np.int8)
-    bits = out.view(np.uint8)
-    # (word >> 30) & 2 is twice bit 31, the low half's sign bit, and
-    # (word >> 62) & 2 twice bit 63, the high half's; the uint8 cast keeps
-    # the low byte, so one mask serves both. An odd size skips the last high half.
-    np.right_shift(raw, 30, out=bits[..., 0::2], casting="unsafe")
-    np.right_shift(raw[..., : size // 2], 62, out=bits[..., 1::2], casting="unsafe")
-    bits &= 2
+    # Byte 3 of each little-endian 32-bit half holds its bit 31 as bit 7, so
+    # (byte >> 6) & 2 is twice the sign bit. The "<u8" cast makes no copy on a
+    # little-endian machine and swaps the bytes on any other. An odd size
+    # skips the last high half.
+    top = raw.astype("<u8", copy=False).view(np.uint8)[..., 3::4][..., :size]
+    np.right_shift(top, 6, out=out, casting="unsafe")
+    out &= 2
     out -= 1
     return out
 

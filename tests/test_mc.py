@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
-                     _SequenceView, block_pair_trace, embed_2d, estimate_interval_hits, estimate_q1,
+                     _SequenceView, _narrow_walk_steps, block_pair_trace, embed_2d, estimate_interval_hits, estimate_q1,
                      fit_exponent, kochen_stone_estimate, replay_final_gap,
                      run_experiment, simulate_coupling, simulate_walk)
 from rlab.sequences import StepSequenceSpec, generate, recurrence_event_window
@@ -202,6 +202,78 @@ class TestSamplerAgainstFreshStreams:
                        for c in np.unique(cells))
         est = estimate_q1(man, n, threads=threads)
         assert est.q1_hat == peak / man.replicates
+
+
+class TestNarrowIntegerWalk:
+    """Integer walks test |x| <= C as x + c <= 2c unsigned, with c = floor(C)
+    clamped to the step sum S up to the last window end, in int32 while
+    S + c < 2**31 and in int64 past it. The oracle is `simulate_walk`'s int64
+    trace with `np.abs(x) <= C`."""
+
+    WINDOWS = [(1, 3), (4, 5), (6, 8)]
+
+    @staticmethod
+    def edge_manifest(total):
+        # big steps B, B cancel half the time; d pads the sum of the first eight
+        # steps to `total`, and the ninth step lies past the last window end
+        B = total // 2 - 8
+        d = total - 2 * B - 7
+        values = (1, 2, 1, B, B, 2, 1, d, 2**40)
+        assert sum(values[:8]) == total
+        return manifest(replicates=2000, horizon=9, seed=5, family="custom",
+                        custom_values=values)
+
+    @pytest.mark.parametrize("edge, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)],
+                             ids=["int32", "int64"])
+    @pytest.mark.parametrize("C", [0, 0.5, 2.7, "S"])
+    def test_guard_edge_matches_int64_oracle(self, edge, dtype, C):
+        if C == "S":  # every position hits; S + c = 2S, the even sum at the edge
+            C = edge // 2
+            man = self.edge_manifest(C)
+        else:
+            man = self.edge_manifest(edge - math.floor(C))
+        steps = np.asarray(man.spec.custom_values[:8], dtype=np.int64)
+        narrowed, c = _narrow_walk_steps(steps, C)
+        S = int(steps.sum())
+        assert narrowed.dtype == dtype and c == math.floor(C)
+        assert S + c == (2 * (edge // 2) if C == S else edge)
+        traces = [simulate_walk(man, rep) for rep in range(man.replicates)]
+        assert traces[0].dtype == np.int64
+        hits = np.array([[np.any(np.abs(t[s:e + 1]) <= C) for s, e in self.WINDOWS]
+                         for t in traces])
+        if C == S:
+            assert hits.all()
+        else:
+            assert 0 < hits.sum() < hits.size
+        for threads in (1, 3):
+            stats = estimate_interval_hits(man, C, self.WINDOWS, threads=threads)
+            assert [stats.per_event[j].hits for j in (1, 2, 3)] == hits.sum(axis=0).tolist()
+            assert stats.joint == {(j + 1, k + 1): int(np.sum(hits[:, j] & hits[:, k]))
+                                   for j in range(3) for k in range(j + 1, 3)}
+
+    def test_clamped_threshold_stays_narrow(self):
+        steps = np.array([3, 5, 2**29], dtype=np.int64)
+        for C in (2**29 + 8, 10.0**300, 2**70):
+            narrowed, c = _narrow_walk_steps(steps, C)
+            assert (narrowed.dtype, c) == (np.int32, 2**29 + 8)
+
+    @pytest.mark.parametrize("C, hits", [(2**53, 0), (2.0**53, 0), (2.0**53 + 2, 50),
+                                         (2**53 + 1, 50)])
+    def test_float_threshold_exact_on_large_walks(self, C, hits):
+        # 2**53 + 1 has no float64; comparing the walk to a float C in float64
+        # once rounded it down to 2**53 <= C, a hit at every replicate
+        man = manifest(replicates=50, horizon=1, family="custom",
+                       custom_values=(2**53 + 1,))
+        assert estimate_interval_hits(man, C, [(1, 1)]).per_event[1].hits == hits
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_real_steps_unchanged(self, threads):
+        # counts pinned from the float64 walk before integer walks were narrowed
+        man = manifest(replicates=3000, horizon=60, seed=23, family="power", alpha=0.5)
+        stats = estimate_interval_hits(man, 1.5, [(2, 8), (9, 20), (30, 50)],
+                                       threads=threads)
+        assert [stats.per_event[j].hits for j in (1, 2, 3)] == [2658, 1860, 952]
+        assert stats.joint == {(1, 2): 1697, (1, 3): 838, (2, 3): 622}
 
 
 class TestEstimateQ1:

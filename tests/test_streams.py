@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
-                          substream, wilson_interval)
+from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, _signs_from_words,
+                          rademacher_signs, substream, wilson_interval)
 
 
 def oracle_signs(rng, size):
@@ -85,6 +85,19 @@ class TestSignsAgainstOracle:
         rng, oracle = substream(seed, rep), substream(seed, rep)
         got = [s for _ in range(160) for s in rademacher_signs(rng, 2).tolist()]
         assert got == [int(oracle_signs(oracle, 1)[0]) for _ in range(320)]
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=12),
+           st.integers(1, 3), st.integers(0, 24))
+    @example([2 ** 31, 2 ** 63, 2 ** 31 - 1, 2 ** 63 - 1], 2, 8)
+    def test_words_in_either_byte_order(self, words, rows, size):
+        # sign i is bit 31 of the i-th 32-bit half of the word's value, however
+        # the word is laid out in memory
+        size = min(size, 2 * len(words))
+        raw = np.array(words * rows, dtype=np.uint64).reshape(rows, -1)
+        want = np.array([[1 if w >> (32 * i + 31) & 1 else -1 for w in row for i in (0, 1)]
+                         for row in raw.tolist()])[:, :size]
+        for order in ("<u8", ">u8"):
+            assert np.array_equal(_signs_from_words(raw.astype(order), size), want)
 
 
 class TestWilson:
