@@ -11,8 +11,8 @@ from .sequences import (SequenceCounts, StepSequenceSpec, check_ints_conditions,
                         sqrt_block_window, value_counts)
 from .exact import (ConcentrationQuery, ExactPMF, ModularPMF, SummaryMoments,
                     abs_tail_prob, concentration_q, convolve, modular_walk_pmf,
-                    pmf_from_atoms, q1_profile, reduce_mod, summary_moments,
-                    tail_prob, walk_pmf)
+                    pmf_from_atoms, q1_profile, summary_moments, tail_prob,
+                    walk_pmf)
 from .bounds import (BoundReport, ExponentQuery, anti_exponent_f,
                      branch_boundary, combine_scales_rhs, cosine_product_bound,
                      elo_bound, hoeffding_tail, kochen_stone_ratio,

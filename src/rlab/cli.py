@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="sequence file path (stdout when omitted)")
     p.add_argument("--spec", required=True, help="JSON sequence spec file")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dist", parents=[common],
                        help="exact law of the walk and its concentration")
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=None, help="residue distribution mod m")
     p.add_argument("--exact", action="store_true",
                    help="rational-probability mode for the exact engine")
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form bound reports")
     p.add_argument("--check", help=" | ".join(bounds.CHECKS))
@@ -430,18 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=float, help="tail threshold in l2-norm units (default 1)")
     p.add_argument("--seq")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("mc", parents=[common], help="Monte Carlo experiments")
     p.add_argument("--manifest", required=True,
                    help="manifest JSON (or a prior report, for replay)")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for Monte Carlo sharding")
-    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("fit", parents=[common], help="log-log exponent fit")
     p.add_argument("--points", required=True, help="CSV of n,value rows")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", parents=[common], help="inequality verification suites")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
@@ -449,15 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--max-m", dest="max_m", type=int, default=None)
     p.add_argument("--cases", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+_parser = None  # built on the first `main` call and reused by every later one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a command patched after import is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigurationError, DomainError) as exc:
         print(f"rlab: error: {exc}", file=sys.stderr)
         return 2

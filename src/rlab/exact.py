@@ -323,15 +323,6 @@ def modular_walk_pmf(steps, m: int) -> ModularPMF:
     return ModularPMF(m, np.maximum(probs, 0.0))
 
 
-def reduce_mod(pmf: ExactPMF, m: int) -> ModularPMF:
-    """Reduce an integer PMF modulo m."""
-    if m < 2:
-        raise DomainError("modulus m must be >= 2")
-    probs = np.zeros(m, dtype=np.float64)
-    np.add.at(probs, pmf.support % m, pmf.weights / pmf.one)
-    return ModularPMF(m, probs)
-
-
 def summary_moments(steps) -> SummaryMoments:
     """Variance (= sum of squares), l2 norm, and plain total of the steps."""
     steps = list(steps)

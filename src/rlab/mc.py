@@ -150,14 +150,19 @@ class CoupledPair:
     evaluations: int  # values a(n) computed at the working precision
 
 
-def _steps_array(manifest: McRunManifest):
+def _steps_array(manifest: McRunManifest, used: int | None = None):
+    """The first `used` steps of the horizon (all of them by default).
+
+    The whole horizon is generated and sets the dtype, so a prefix holds the
+    same values; the 64-bit guard reads only the prefix the walk uses.
+    """
     steps = generate(manifest.spec, manifest.horizon)
     if all(type(a) is int for a in steps):
-        if sum(steps) >= 1 << 62:
+        if sum(steps[:used]) >= 1 << 62:
             raise InfeasibleError(
-                "walk positions on this horizon would overflow 64-bit integers")
-        return np.asarray(steps, dtype=np.int64)
-    return np.asarray(steps, dtype=np.float64)
+                "walk positions on these steps would overflow 64-bit integers")
+        return np.asarray(steps[:used], dtype=np.int64)
+    return np.asarray(steps[:used], dtype=np.float64)
 
 
 def simulate_walk(manifest: McRunManifest, replicate: int, steps=None) -> np.ndarray:
@@ -231,7 +236,7 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
                 f"windows ({s1},{e1}) and ({s2},{e2}) overlap")
     K = len(windows)
     last = max((e for _, e in windows), default=0)
-    steps = _steps_array(manifest)[:last]
+    steps = _steps_array(manifest, last)
     integral = steps.dtype.kind == "i"
     if integral:
         steps, c = _narrow_walk_steps(steps, C)
@@ -305,7 +310,7 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     if n < 1 or n > manifest.horizon:
         raise ConfigurationError(f"n={n} outside 1..{manifest.horizon}")
     R = manifest.replicates
-    steps = _steps_array(manifest)[:n]
+    steps = _steps_array(manifest, n)
     integral = steps.dtype.kind == "i"
 
     def worker(chunk):

@@ -440,6 +440,29 @@ class TestMc:
         assert run("mc", "--manifest", out) == 2
         assert "sqrt_block does not read spec.alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,params,code", [
+        ("interval_hits", {"C": 0, "windows": [[1, 2]]}, 0),
+        ("interval_hits", {"C": 0, "windows": [[1, 3]]}, 3),
+        ("q1_estimate", {"n": 2}, 0),
+        ("q1_estimate", {"n": 3}, 3),
+    ], ids=["window_before_big_step", "window_on_big_step", "q1_before_big_step",
+            "q1_on_big_step"])
+    def test_int64_guard_reads_only_the_steps_used(self, tmp_path, capsys,
+                                                   experiment, params, code):
+        man = write_manifest(tmp_path, experiment=experiment, horizon=3,
+                             replicates=400, params=params,
+                             spec={"family": "custom", "custom_values": [1, 1, 2**62]})
+        out = tmp_path / "report.json"
+        assert run("mc", "--manifest", man, "--out", out) == code
+        if code == 3:
+            assert "overflow 64-bit" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        # X_2 is 0 with probability 1/2, and X_1 never is
+        res = load(out)["result"]
+        p_hat = res["per_event"]["1"]["p_hat"] if "per_event" in res else res["q1_hat"]
+        assert abs(p_hat - 0.5) < 0.1
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_non_positive_threads_exits_2(self, tmp_path, capsys, threads):
         man = write_manifest(tmp_path)
@@ -556,6 +579,44 @@ class TestVerifyCommand:
         out = tmp_path / "v.json"
         assert run("verify", "--suite", "elo", "--out", out) == 1
         assert load(out)["result"]["failures"] == ["case x"]
+
+
+class TestParserReuse:
+    """`main` builds its parser once; each call still parses its argv afresh."""
+
+    def test_parser_built_at_most_once(self, tmp_path, seq_file, monkeypatch):
+        builds = []
+        build = rlab.cli.build_parser
+        monkeypatch.setattr(rlab.cli, "_parser", None)
+        monkeypatch.setattr(rlab.cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        for _ in range(3):
+            assert run("dist", "--seq", seq_file, "--out", tmp_path / "d.json") == 0
+            assert run("bounds", "--exponent", "--alpha", 1) == 0
+            assert run("verify", "--suite", "elo", "--max-n", 3) == 0
+        assert len(builds) == 1
+
+    def test_format_does_not_leak_into_next_call(self, tmp_path, seq_file):
+        csv_out, json_out = tmp_path / "d.csv", tmp_path / "d.json"
+        assert run("dist", "--seq", seq_file, "--format", "csv", "--out", csv_out) == 0
+        assert run("dist", "--seq", seq_file, "--out", json_out) == 0
+        assert csv_out.read_text().startswith("value,prob\n")
+        assert load(json_out)["result"]["kind"] == "dist"
+
+    def test_delta_does_not_leak_into_next_call(self, tmp_path, seq_file, capsys):
+        assert run("bounds", "--exponent", "--alpha", 1, "--delta", 0.1) == 0
+        out = tmp_path / "elo.json"
+        assert run("bounds", "--check", "elo", "--seq", seq_file, "--out", out) == 0
+        assert "--delta" not in capsys.readouterr().err
+        assert load(out)["manifest"]["inputs"]["check"] == "elo"
+
+    def test_unknown_suite_exits_2_without_report(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--suite", "nope", "--out", out)
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInternalError:
