@@ -93,7 +93,8 @@ class ExactPMF:
         return self.value(math.fsum(self.weights))
 
     def as_dict(self) -> dict:
-        return dict(zip((int(v) for v in self.support), self.probs))
+        """{value: probability} with Python ints and floats (or Fractions)."""
+        return {int(v): self.value(w) for v, w in zip(self.support, self.weights)}
 
 
 @dataclass

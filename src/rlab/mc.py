@@ -7,6 +7,7 @@ commutative (integer counts only).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -147,7 +148,7 @@ class CoupledPair:
     episode_wins: list[bool]
     anti_steps: list[tuple[int, int]]  # (step index, sign taken by the first walk)
     end_time: int
-    evaluations: int  # values a(n) computed at the working precision
+    evaluations: int  # values a(n) this game added to its view, at the working precision
 
 
 def _steps_array(manifest: McRunManifest, used: int | None = None):
@@ -409,10 +410,24 @@ _DEFAULT_COUPLING_HORIZON = 10**60
 _MAX_EPISODES = 10_000
 
 
+def _memoised(query):
+    """`query` answered once per view for each argument tuple; an answer
+    that raises is not stored, so asking again raises again."""
+    @functools.wraps(query)
+    def memoised(view, *args):
+        key = (query.__name__, *args)
+        found = view._found.get(key)
+        if found is None:
+            found = view._found[key] = query(view, *args)
+        return found
+    return memoised
+
+
 class _SequenceView:
     """Random access to a_n for the coupling game, each a(n) evaluated once.
 
-    Values are memoised, so a view serves one working precision. Both index
+    Values and index answers are memoised, so a view serves one working
+    precision and may be shared by the games of one run. Both index
     queries take one search, `_first`: a closed-form guess that `_confirmed`
     checks against rounding, else doubling and bisection, which find the same
     index. Values invert as m >= t**(1/alpha) (power) or m >= exp(t**(1/alpha))
@@ -424,6 +439,7 @@ class _SequenceView:
     def __init__(self, spec: StepSequenceSpec, horizon: int | None):
         self.spec = spec
         self._memo: dict[int, mpf] = {}
+        self._found: dict[tuple, int] = {}
         self.kind = fam = spec.family
         self.alpha = spec.alpha
         self.horizon = horizon or _DEFAULT_COUPLING_HORIZON
@@ -530,6 +546,7 @@ class _SequenceView:
             u -= (u - (alpha - 1) * mp.log(u) - L) / (1 - (alpha - 1) / u)
         return mp.exp(u) + 1.5
 
+    @_memoised
     def first_gap_below(self, lo: int, half_delta: mpf) -> int:
         """Smallest n in [lo, horizon] with every later gap below half_delta."""
         if self.kind == "custom":
@@ -544,6 +561,7 @@ class _SequenceView:
             f"gap threshold {float(half_delta)} unreachable within horizon",
             self._gap_guess(half_delta), lambda k: half_delta - self.gap(k))
 
+    @_memoised
     def first_value_at_least(self, after: int, target: mpf) -> int:
         """Smallest m in (after, horizon] with a(m) >= target."""
         if self.kind == "custom":
@@ -562,7 +580,7 @@ class _SequenceView:
 
 def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: int,
                       replicate: int = 0, horizon: int | None = None,
-                      dps: int = 60) -> CoupledPair:
+                      dps: int = 60, *, view: _SequenceView | None = None) -> CoupledPair:
     """Play the episode strategy aligning two walks started `d` apart to within epsilon.
 
     Episode i: with current signed gap d_i and delta_i = min(epsilon, |d_i|),
@@ -572,11 +590,14 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
     else). Each episode closes the gap into [0, epsilon] with probability at
     least 1/4. Arithmetic runs at `dps` significant digits so deep episode
     chains (whose gaps and indices grow geometrically) stay exact enough to
-    place the window.
+    place the window. `view`, a `_SequenceView(spec, horizon)` that other
+    games at the same `dps` may share, defaults to a fresh one.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    view = _SequenceView(spec, horizon)
+    if view is None:
+        view = _SequenceView(spec, horizon)
+    evaluated = len(view._memo)
     rng = substream(seed, replicate)
     with mp.workdps(dps):
         D = mpf(float(d))
@@ -610,7 +631,7 @@ def simulate_coupling(spec: StepSequenceSpec, d: float, epsilon: float, seed: in
                 if 0 <= D <= eps:
                     wins.append(True)
                     return CoupledPair(float(d), float(epsilon), episodes, float(D),
-                                       wins, anti, idx, len(view._memo))
+                                       wins, anti, idx, len(view._memo) - evaluated)
             t = m_i
             wins.append(False)
         raise InfeasibleError(f"no alignment within {_MAX_EPISODES} episodes")
@@ -710,10 +731,13 @@ def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
         eps = _param(params, "epsilon", lambda v: float(_real(v)), 0.1)
         horizon = _param(params, "horizon", _positive)
         dps = _param(params, "dps", _positive, 60)
+        # one view for every game, so each a(n) and index search runs once per
+        # run; none for epsilon <= 0, which simulate_coupling rejects first
+        view = _SequenceView(manifest.spec, horizon) if eps > 0 else None
         episodes = wins = gap_ok = max_episodes = 0
         for rep in range(manifest.replicates):
             pair = simulate_coupling(manifest.spec, d, eps, manifest.master_seed,
-                                     replicate=rep, horizon=horizon, dps=dps)
+                                     replicate=rep, horizon=horizon, dps=dps, view=view)
             episodes += len(pair.episode_wins)
             wins += sum(pair.episode_wins)
             gap_ok += 0.0 <= pair.final_gap <= eps

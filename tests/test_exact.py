@@ -51,6 +51,13 @@ class TestWalkPmf:
     def test_two_unit_steps(self):
         assert walk_pmf([1, 1]).as_dict() == {-2: 0.25, 0: 0.5, 2: 0.25}
 
+    @pytest.mark.parametrize("exact, kind", [(False, float), (True, Fraction)])
+    def test_as_dict_holds_python_numbers(self, exact, kind):
+        law = walk_pmf([1, 2, 2], exact=exact).as_dict()
+        assert law == {-5: 0.125, -3: 0.125, -1: 0.25, 1: 0.25, 3: 0.125, 5: 0.125}
+        assert {(type(v), type(p)) for v, p in law.items()} == {(int, kind)}
+        assert "np." not in repr(law)
+
     def test_first_two_block_steps(self):
         assert walk_pmf([3, 1]).as_dict() == {-4: 0.25, -2: 0.25, 2: 0.25, 4: 0.25}
 

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from rlab import mc
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
                      _SequenceView, _narrow_walk_steps, block_pair_trace, embed_2d, estimate_interval_hits, estimate_q1,
@@ -508,6 +511,126 @@ class TestCouplingSearchAgainstOracle:
                 for h in (mpf(10 ** rng.uniform(-4, 0.5)), mpf(float(rng.choice(gaps)))):
                     assert (outcome(view.first_gap_below, lo, h)
                             == outcome(oracle_custom_gap_below, spec, view.horizon, lo, h))
+
+
+GAME_SPECS = [StepSequenceSpec("power", alpha=alpha) for alpha in (0.5, 0.6, 0.7)] + [
+    StepSequenceSpec("log_power", alpha=alpha) for alpha in (1.0, 2.0)] + [
+    StepSequenceSpec("custom", custom_values=tuple(math.sqrt(n) for n in range(1, 1501)))]
+
+
+def game_fields(pair):
+    """A game's outcome apart from its evaluation count, or its error text."""
+    if isinstance(pair, str):
+        return pair
+    return (pair.episodes_used, pair.final_gap, pair.episode_wins, pair.anti_steps,
+            pair.end_time)
+
+
+class TestSharedView:
+    """Queries and games on one reused view against a fresh view each time."""
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("horizon", [None, 10**5])
+    @pytest.mark.parametrize("spec", SEARCH_SPECS, ids=lambda s: f"{s.family}{s.alpha}")
+    def test_repeated_queries_match_a_fresh_view(self, spec, horizon, dps):
+        rng = np.random.default_rng([dps, int(spec.alpha * 10), horizon or 0])
+        with mp.workdps(dps):
+            view = _SequenceView(spec, horizon)
+            queries = []
+            for _ in range(20):
+                lo = int(10 ** rng.uniform(0, 7))
+                k = max(lo, view.gap_floor) + int(rng.integers(0, 100))
+                after = lo + int(rng.integers(0, 3))
+                # thresholds equal to a computed gap or value sit on the rounding edge
+                queries += [(lo, mpf(10 ** rng.uniform(-6, -0.5))), (lo, view.gap(k)),
+                            (after, view.a(after) + mpf(10 ** rng.uniform(-4, 3))),
+                            (after, view.a(after + int(rng.integers(1, 50))))]
+            failed = 0
+            # both queries take every argument pair, so their answers must stay apart
+            for name, *args in [(name, *q) for q in queries
+                                for name in ("first_gap_below", "first_value_at_least")]:
+                fresh = outcome(getattr(_SequenceView(spec, horizon), name), *args)
+                for _ in range(2):
+                    stored = len(view._found)
+                    assert outcome(getattr(view, name), *args) == fresh
+                    if isinstance(fresh, str):
+                        failed += 1
+                        assert len(view._found) == stored  # no failure is memoised
+        assert failed or horizon is None
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    @pytest.mark.parametrize("spec", GAME_SPECS, ids=lambda s: f"{s.family}{s.alpha}")
+    def test_shared_games_match_fresh_games(self, spec, dps):
+        view = _SequenceView(spec, None)
+        raised = 0
+        for d, eps in ((1.0, 0.1), (-0.7, 0.05), (2.5, 0.2)):
+            for rep in range(40):
+                def play(**kw):
+                    return outcome(lambda: simulate_coupling(
+                        spec, d, eps, seed=31, replicate=rep, dps=dps, **kw))
+                shared, fresh = play(view=view), play()
+                assert game_fields(shared) == game_fields(fresh)
+                if isinstance(fresh, str):
+                    raised += 1
+                else:
+                    assert shared.evaluations <= fresh.evaluations
+        # log_power alpha 1 outgrows the default horizon, so its errors are compared too
+        assert raised or (spec.family, spec.alpha) != ("log_power", 1.0)
+
+
+class TestSharedViewRuns:
+    """`run_experiment` plays every replicate of a coupling run on one view;
+    digests of its `result` were captured before the view was shared."""
+
+    @pytest.mark.parametrize("family, alpha, replicates, d, eps, seed, digest", [
+        ("power", 0.5, 45, 0.75, 0.1, 9400,
+         "defb1d7ca00532d1f5c42c96d8001db7acf0003e99191b52c9e961bee219729d"),
+        ("power", 0.5, 105, 2.75, 0.1, 9400,
+         "f2ddb28a9dd14767ee10b12a81698ca1c3a42d5a89da14d65210031f239107a3"),
+        ("power", 0.6, 60, 1.0, 0.1, 9400,
+         "7d187b4f907d9a252a11177aee49ee985e97ac0941269047e233a64c36e0c6f0"),
+        ("power", 0.6, 90, 2.0, 0.1, 9400,
+         "464097ac76a42ac55be19fe7e3fe394f8177272d7882c04a309cbcb7c02ab48e"),
+        ("power", 0.7, 75, 1.25, 0.1, 9400,
+         "2c997d9779fc5c4db33a7271b1f68fe0f9ce36e959ca676eb374147af2e1f881"),
+        ("power", 0.7, 105, 2.5, 0.1, 9400,
+         "152e7912b812c7d0f67422a2c380d57b3f1ad328552a7a06af5d4d74ac8a7e1e"),
+        ("log_power", 2.0, 20, 0.7, 0.2, 5,
+         "0d29f1fdadeda8a84b352ce22b696ff23fe18bca0db0551353dbb2c1f97b0fdd"),
+    ])
+    def test_result_pinned(self, monkeypatch, family, alpha, replicates, d, eps, seed,
+                           digest):
+        games = []
+
+        def recording(*args, **kwargs):
+            pair = simulate_coupling(*args, **kwargs)
+            games.append((args, kwargs, pair))
+            return pair
+
+        monkeypatch.setattr(mc, "simulate_coupling", recording)
+        result = run_experiment(McRunManifest.from_dict({
+            "master_seed": seed, "replicates": replicates, "horizon": 1,
+            "spec": {"family": family, "alpha": alpha}, "experiment": "coupling",
+            "params": {"d": d, "epsilon": eps}}))
+        assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+        views = {id(kwargs["view"]) for _, kwargs, _ in games}
+        assert len(games) == replicates and len(views) == 1
+        view = games[0][1]["view"]
+        assert sum(pair.evaluations for *_, pair in games) == len(view._memo)
+        for args, kwargs, pair in games:
+            fresh = simulate_coupling(*args, **{**kwargs, "view": None})
+            assert game_fields(pair) == game_fields(fresh)
+            assert pair.evaluations <= fresh.evaluations
+
+    def test_failing_run_message_pinned(self):
+        # the first replicate to outgrow the horizon names its episode and value
+        with pytest.raises(InfeasibleError) as err:
+            run_experiment(McRunManifest.from_dict({
+                "master_seed": 2, "replicates": 12, "horizon": 1,
+                "spec": {"family": "log_power", "alpha": 1.0}, "experiment": "coupling",
+                "params": {"d": 0.7, "epsilon": 0.2}}))
+        assert str(err.value) == ("episode 7 (gap target delta=0.2): steps on the horizon "
+                                  "never reach value 249.55510460652476")
 
 
 class TestCoupling:
