@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="manifest JSON (or a prior report, for replay)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for Monte Carlo sharding")
+                   help="Monte Carlo threads: one draws the signs, the rest walk them")
 
     p = sub.add_parser("fit", parents=[common], help="log-log exponent fit")
     p.add_argument("--points", required=True, help="CSV of n,value rows")

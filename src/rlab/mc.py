@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -20,8 +22,8 @@ from . import exact
 from .bounds import kochen_stone_ratio
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .sequences import StepSequenceSpec, generate, recurrence_event_window
-from .streams import (GENERATOR_VERSION, SubstreamSampler, rademacher_signs,
-                      substream, wilson_interval)
+from .streams import (GENERATOR_VERSION, SubstreamSampler, _signs_from_words,
+                      rademacher_signs, substream, wilson_interval)
 
 # each experiment and the names of the params it reads (see `run_experiment`)
 EXPERIMENTS = {
@@ -30,7 +32,7 @@ EXPERIMENTS = {
     "embed2d": ("k",),
     "coupling": ("d", "epsilon", "horizon", "dps"),
 }
-_CHUNK = 2048
+_BLOCK = 1 << 21  # sign entries per block (`_map_blocks`); 2M ran faster than 0.25M-8M
 _REAL_STEP_GRID = 16  # unit windows slide on a 1/16 grid for real-valued walks
 
 
@@ -184,26 +186,46 @@ def simulate_walk(manifest: McRunManifest, replicate: int, steps=None) -> np.nda
     return trace
 
 
-def _chunks(total: int, width: int):
-    # keep each worker's sign matrix near 8M entries
-    size = max(32, min(_CHUNK, 8_000_000 // max(1, width)))
-    start = 0
-    while start < total:
-        yield range(start, min(start + size, total))
-        start += size
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _sign_matrix(manifest: McRunManifest, chunk, size: int) -> np.ndarray:
-    """The first `size` signs of each replicate in `chunk`, one int8 row each."""
-    signs = SubstreamSampler().signs(manifest.master_seed, chunk, size)
-    return signs.reshape(len(chunk), size)
+def _map_blocks(manifest: McRunManifest, worker, size: int, threads: int) -> list:
+    """`worker(signs)` for each block of replicates, returned in replicate order.
 
+    A block is the int8 matrix of the first `size` signs of about _BLOCK / size
+    (at least one) consecutive replicates, one row each. The calling thread draws every
+    block's raw words with one `SubstreamSampler`; `threads - 1` pool workers
+    map them to signs and run `worker`, and at most `threads` blocks are drawn
+    and not yet collected. Both counts are capped at the usable CPUs, and with
+    one thread everything runs on the calling thread. A worker's error stops
+    the drawing and is raised here once the blocks in flight end. Replicate
+    i's signs depend only on (master_seed, i), so the results are the same
+    for any thread count.
+    """
+    R, rows = manifest.replicates, max(1, _BLOCK // max(1, size))
+    sampler = SubstreamSampler()
 
-def _map_chunks(worker, total, width, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, _chunks(total, width)))
-    return [worker(chunk) for chunk in _chunks(total, width)]
+    def draw(start):
+        return sampler.words(manifest.master_seed, range(start, min(start + rows, R)), size)
+
+    def task(words):
+        return worker(_signs_from_words(words, size))
+
+    threads = min(threads, _usable_cpus())
+    if threads <= 1:
+        return [task(draw(start)) for start in range(0, R, rows)]
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        for start in range(0, R, rows):
+            if len(pending) == threads:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(task, draw(start)))
+        return results + [future.result() for future in pending]
 
 
 def _narrow_walk_steps(steps: np.ndarray, C) -> tuple[np.ndarray, int]:
@@ -242,8 +264,7 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
     if integral:
         steps, c = _narrow_walk_steps(steps, C)
 
-    def worker(chunk):
-        signs = _sign_matrix(manifest, chunk, last)
+    def worker(signs):
         if integral:
             # |x| <= c exactly when x + c, read unsigned, is at most 2c
             walk = np.multiply(signs, steps, dtype=steps.dtype)
@@ -256,7 +277,7 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
             np.cumsum(walk, axis=1, out=walk)
             np.abs(walk, out=walk)
             bound = C
-        hits = np.empty((len(chunk), K), dtype=bool)
+        hits = np.empty((len(signs), K), dtype=bool)
         for j, (s, e) in enumerate(windows):
             hits[:, j] = (walk[:, s - 1:e] <= bound).any(axis=1)
         counts = hits.sum(axis=0).astype(np.int64)
@@ -266,7 +287,7 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
                 joint[j, k] = int(np.count_nonzero(hits[:, j] & hits[:, k]))
         return counts, joint
 
-    partials = _map_chunks(worker, manifest.replicates, last, threads)
+    partials = _map_blocks(manifest, worker, last, threads)
     counts = sum(n for n, _ in partials)
     joint = sum(j for _, j in partials)
     R = manifest.replicates
@@ -314,17 +335,16 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     steps = _steps_array(manifest, n)
     integral = steps.dtype.kind == "i"
 
-    def worker(chunk):
-        signs = _sign_matrix(manifest, chunk, n)
+    def worker(signs):
         if integral:
-            # einsum casts the int8 chunk block by block, where `@` copies it whole
+            # einsum casts the int8 block piece by piece, where `@` copies it whole
             return np.unique(np.einsum("ij,j->i", signs, steps), return_counts=True)
         # real steps keep `@`: their results depend on its summation order
         cells = np.floor((signs @ steps) * _REAL_STEP_GRID).astype(np.int64)
         return np.unique(cells, return_counts=True)
 
     totals: dict[int, int] = {}
-    for vals, cnts in _map_chunks(worker, R, n, threads):
+    for vals, cnts in _map_blocks(manifest, worker, n, threads):
         for v, c in zip(vals.tolist(), cnts.tolist()):
             totals[v] = totals.get(v, 0) + c
     # the empirical law in counts over R; a real-step unit window spans 16 cells
@@ -687,8 +707,8 @@ def _real(value):
 
 
 def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
-    """The `result` block of an `rlab mc` report; `threads` shards the
-    replicates of interval_hits and q1_estimate."""
+    """The `result` block of an `rlab mc` report; interval_hits and
+    q1_estimate run their replicates on `threads` threads (see `_map_blocks`)."""
     params = manifest.params
     if manifest.experiment == "interval_hits":
         if ("windows" in params) == ("block_ks" in params):

@@ -8,7 +8,9 @@ Every sign is read from raw Philox words by one mapping, `_signs_from_words`:
 sign i is bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half
 first. It is read as the top bit of byte 3 of that half, with the words laid
 out little-endian on any machine. `rademacher_signs` applies it to the next
-words of one stream and `SubstreamSampler.signs` to the first words of many.
+words of one stream and `SubstreamSampler.signs` to the first words of many,
+which `SubstreamSampler.words` draws on their own so that another thread can
+map them.
 The tests keep numpy's bounded `Generator.integers` over {0, 1} as the
 oracle: it keeps the same bit of the same 32-bit halves, so these are the
 signs rlab drew through it before.
@@ -71,12 +73,13 @@ class SubstreamSampler:
     def __init__(self):
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
 
-    def signs(self, master_seed: int, indices, size: int) -> np.ndarray:
-        """The first `size` signs of each substream in `indices` as int8.
+    def words(self, master_seed: int, indices, size: int) -> np.ndarray:
+        """The raw Philox words behind the first `size` signs of each substream
+        in `indices`: one uint64 row of ceil(size / 2) words per index.
 
-        Row-major and flat: replicate `indices[r]` owns entries
-        `r * size .. (r + 1) * size - 1`, equal to
-        `rademacher_signs(substream(master_seed, indices[r]), size)`.
+        Row r holds the first words of `substream(master_seed, indices[r])`,
+        so `_signs_from_words(rows, size)` gives the same signs on whichever
+        thread maps them. Drawing is the only step that touches the sampler.
         """
         words = -(-size // 2)
         state = self._bitgen.state
@@ -89,7 +92,16 @@ class SubstreamSampler:
             key[1] = index & 0xFFFFFFFFFFFFFFFF
             self._bitgen.state = state
             raw[row] = self._bitgen.random_raw(words)
-        return _signs_from_words(raw, size).reshape(-1)
+        return raw
+
+    def signs(self, master_seed: int, indices, size: int) -> np.ndarray:
+        """The first `size` signs of each substream in `indices` as int8.
+
+        Row-major and flat: replicate `indices[r]` owns entries
+        `r * size .. (r + 1) * size - 1`, equal to
+        `rademacher_signs(substream(master_seed, indices[r]), size)`.
+        """
+        return _signs_from_words(self.words(master_seed, indices, size), size).reshape(-1)
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:

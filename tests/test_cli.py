@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rlab.cli
+import rlab.mc
 import rlab.verify
 from rlab.cli import _json_default, emit_table, main
 from rlab.verify import VerifySuiteResult
@@ -462,6 +463,26 @@ class TestMc:
         res = load(out)["result"]
         p_hat = res["per_event"]["1"]["p_hat"] if "per_event" in res else res["q1_hat"]
         assert abs(p_hat - 0.5) < 0.1
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("interval_hits", {"C": 0, "block_ks": [1, 2, 3]}),
+        ("q1_estimate", {"n": 2730}),
+    ])
+    def test_result_same_for_any_thread_count(self, tmp_path, monkeypatch, experiment,
+                                              params):
+        # 2,000 replicates of 2,730 signs span three blocks; three usable CPUs
+        # let three threads run two workers
+        monkeypatch.setattr(rlab.mc, "_usable_cpus", lambda: 3)
+        man = write_manifest(tmp_path, experiment=experiment, replicates=2000,
+                             horizon=2730, params=params)
+        results = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"report{threads}.json"
+            assert run("mc", "--manifest", man, "--out", out, "--threads", threads) == 0
+            report = load(out)
+            assert report["manifest"]["inputs"]["threads"] == threads
+            results.append(json.dumps(report["result"], sort_keys=True))
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_non_positive_threads_exits_2(self, tmp_path, capsys, threads):

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import rlab.cli
 from rlab import mc
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
@@ -13,7 +17,7 @@ from rlab.mc import (EXPERIMENTS, EventStats, McRunManifest, RecurrenceStats,
                      fit_exponent, kochen_stone_estimate, replay_final_gap,
                      run_experiment, simulate_coupling, simulate_walk)
 from rlab.sequences import StepSequenceSpec, generate, recurrence_event_window
-from rlab.streams import substream, wilson_interval
+from rlab.streams import SubstreamSampler, substream, wilson_interval
 
 
 def manifest(replicates=100, horizon=10, family="sqrt_block", seed=42,
@@ -149,10 +153,11 @@ class TestIntervalHits:
 
 
 class TestSamplerAgainstFreshStreams:
-    """The estimators draw signs with one rewinding sampler per worker; their
-    counts equal those taken from `simulate_walk`, which keys a fresh stream
-    per replicate. 4,100 replicates make three chunks, so two threads share
-    the work."""
+    """The estimators draw signs with one rewinding sampler on the calling
+    thread; their counts equal those taken from `simulate_walk`, which keys a
+    fresh stream per replicate. 4,100 replicates fit in one block of the
+    default size; `TestSamplerAcrossBlockSeams` reruns these cases on small
+    blocks."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_interval_hits(self, threads):
@@ -205,6 +210,222 @@ class TestSamplerAgainstFreshStreams:
                        for c in np.unique(cells))
         est = estimate_q1(man, n, threads=threads)
         assert est.q1_hat == peak / man.replicates
+
+
+class TestSamplerAcrossBlockSeams(TestSamplerAgainstFreshStreams):
+    """The oracle cases above on blocks of 1,000 sign entries, so their 4,100
+    replicates span 25 (n = 6) to 164 (horizon 40) blocks. Three usable CPUs
+    let three threads run two workers on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", 1000)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_interval_hits(self, threads):
+        super().test_interval_hits(threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_interval_hits_real_steps(self, threads):
+        super().test_interval_hits_real_steps(threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("spec_kw", [
+        {"family": "sqrt_block"},
+        {"family": "custom", "custom_values": (0.25, 0.5, 0.375, 1.125, 0.0625, 2.5)},
+    ], ids=["integer", "real"])
+    def test_q1(self, threads, spec_kw):
+        super().test_q1(threads, spec_kw)
+
+
+def result_digest(result: dict) -> str:
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+class RecordingPool:
+    """Stands in for `mc.ThreadPoolExecutor`: runs each task as it is
+    submitted, on the calling thread, and records the worker count and the
+    most tasks submitted and not yet collected."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.in_flight = self.peak = 0
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        value = fn(*args)
+        pool = self
+
+        class Done:
+            def result(self):
+                pool.in_flight -= 1
+                return value
+        return Done()
+
+
+class TestBlockMap:
+    """`_map_blocks`: the calling thread draws, at most `threads - 1` workers
+    compute, at most `threads` blocks are in flight, and both are capped at
+    the usable CPUs."""
+
+    HITS = {"master_seed": 21, "replicates": 3000, "horizon": 170,
+            "spec": {"family": "sqrt_block"}, "experiment": "interval_hits",
+            "params": {"block_ks": [1, 2]}}
+
+    @pytest.mark.parametrize("threads, cpus, workers", [
+        (8, 2, 1), (3, 2, 1), (2, 16, 1), (3, 16, 2), (8, 16, 7), (8, 1, None)])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, tmp_path, threads, cpus,
+                                        workers):
+        monkeypatch.setattr(mc, "_BLOCK", 10_000)  # 58 replicates, 52 blocks
+        want = result_digest(run_experiment(McRunManifest.from_dict(self.HITS)))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "made", [])
+        path, out = tmp_path / "run.json", tmp_path / "report.json"
+        path.write_text(json.dumps(self.HITS))
+        assert rlab.cli.main(["mc", "--manifest", str(path), "--out", str(out),
+                              "--threads", str(threads)]) == 0
+        report = json.loads(out.read_text())
+        assert report["manifest"]["inputs"]["threads"] == threads
+        assert result_digest(report["result"]) == want
+        if workers is None:
+            assert RecordingPool.made == []
+        else:
+            [pool] = RecordingPool.made
+            assert (pool.max_workers, pool.peak, pool.in_flight) == (workers, workers + 1, 0)
+
+    @pytest.mark.parametrize("block, rows, threads", [
+        (5, 1, 1), (5, 1, 3), (1000, 25, 2), (1000, 25, 3)])
+    def test_blocks_in_replicate_order(self, monkeypatch, block, rows, threads):
+        # a block smaller than one row holds one replicate
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        man = manifest(replicates=250, horizon=40, seed=4)
+        blocks = mc._map_blocks(man, np.copy, 40, threads)
+        assert [b.shape for b in blocks] == [(rows, 40)] * (250 // rows)
+        assert np.array_equal(np.concatenate(blocks).reshape(-1),
+                              SubstreamSampler().signs(4, range(250), 40))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_windows_draw_no_signs(self, monkeypatch, threads):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        result = run_experiment(McRunManifest.from_dict(
+            {**self.HITS, "params": {"windows": []}}), threads=threads)
+        assert (result["per_event"], result["joint"], result["kochen_stone"]) == ({}, {}, {})
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert mc._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert mc._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mc._usable_cpus() == 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_worker_error_stops_the_draw(self, monkeypatch, threads):
+        monkeypatch.setattr(mc, "_BLOCK", 10_000)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        drawn, blocks = [], []
+
+        class CountingSampler(SubstreamSampler):
+            def words(self, *args):
+                drawn.append(args[1])
+                blocks.append(super().words(*args))
+                return blocks[-1]
+
+        def failing(words, size):
+            if len(blocks) > 2 and words is blocks[2]:
+                raise ArithmeticError("block 3")
+            return signs_from_words(words, size)
+
+        signs_from_words = mc._signs_from_words
+        monkeypatch.setattr(mc, "SubstreamSampler", CountingSampler)
+        monkeypatch.setattr(mc, "_signs_from_words", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="block 3"):
+            run_experiment(McRunManifest.from_dict(self.HITS), threads=threads)
+        assert threading.active_count() == before
+        # the third block's error is raised when it is collected, which is
+        # before the draw of the block `threads` places after it
+        assert len(drawn) == 2 + threads
+        assert [r.start for r in drawn] == [58 * i for i in range(len(drawn))]
+
+
+class TestPinnedBlockResults:
+    """sha256 of the `result` of q1 and float-C interval_hits runs on
+    real-valued `power` steps, captured before the draw moved to the calling
+    thread. Real-step q1 sums through BLAS `@`, and each spec spans two to
+    five default-size blocks."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("experiment, alpha, n, replicates, seed, digest", [
+        ("q1_estimate", 0.5, 2000, 5000, 1801,
+         "7e5376efb99fb9b3598fae58f9a34d78be3c610a2efb646bd7031a547560b409"),
+        ("q1_estimate", 0.7, 300, 9000, 1802,
+         "4b9923885aa1cf5eba23a0a125e298460b99ab10217b3f544bd171ee170a00a1"),
+        ("q1_estimate", 0.5, 41, 70000, 1803,
+         "6a954f05c005365b6d8c7400237b7272aa96e618781a7391995cd57bdef6af9c"),
+        ("interval_hits", 0.5, 2000, 5000, 1801,
+         "8d3887fe259259a48e0b4e37bcff90ab7d080c855399a40a7af1369df427bba1"),
+        ("interval_hits", 0.7, 300, 9000, 1802,
+         "7070e51793ba0e0dbf906d1d9be50fdf6d1ba977bcf1735c4f6381295d37892e"),
+        ("interval_hits", 0.5, 41, 70000, 1803,
+         "772240a0e717394c4ce4ff74170d9467178bd7c165cf9acb155e83ec272e94ed"),
+    ], ids=["q1_2000", "q1_300", "q1_41", "hits_2000", "hits_300", "hits_41"])
+    def test_result_pinned(self, monkeypatch, threads, experiment, alpha, n,
+                           replicates, seed, digest):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        q = n // 4
+        params = ({"n": n} if experiment == "q1_estimate" else
+                  {"C": 2.5, "windows": [[1, q], [q + 1, 2 * q], [2 * q + 1, n]]})
+        result = run_experiment(McRunManifest.from_dict({
+            "master_seed": seed, "replicates": replicates, "horizon": n,
+            "spec": {"family": "power", "alpha": alpha}, "experiment": experiment,
+            "params": params}), threads=threads)
+        assert result_digest(result) == digest
+
+
+class TestBlockMemory:
+    """Peak traced allocation of a run with two usable CPUs. Before blocks,
+    two threads each held a 2,048-row chunk: 64.4 MB (interval_hits) and
+    52.1 MB (q1) on these runs."""
+
+    @pytest.mark.parametrize("manifest_body, limit_mb", [
+        ({"master_seed": 3, "replicates": 4096, "horizon": 2730,
+          "spec": {"family": "sqrt_block"}, "experiment": "interval_hits",
+          "params": {"block_ks": [1, 2, 3]}}, 40),
+        ({"master_seed": 3, "replicates": 4000, "horizon": 2600,
+          "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
+          "params": {"n": 2600}}, 25),
+    ], ids=["interval_hits", "q1"])
+    def test_peak_bounded(self, monkeypatch, manifest_body, limit_mb):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        man = McRunManifest.from_dict(manifest_body)
+
+        def peak(threads):
+            tracemalloc.start()
+            try:
+                run_experiment(man, threads=threads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two = peak(2)
+        assert two <= limit_mb * 1e6
+        # one block's raw words: two signs in each 8-byte word
+        assert peak(8) <= two + 4 * mc._BLOCK
 
 
 class TestNarrowIntegerWalk:

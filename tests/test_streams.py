@@ -37,6 +37,16 @@ class TestSubstreams:
         # rewinding after use still reproduces the streams from the start
         assert np.array_equal(sampler.signs(seed, reps, size), want)
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_words_are_each_streams_first_raw_words(self, size):
+        # rows of ceil(size / 2) words, drawn with the key rewound for each index
+        sampler = SubstreamSampler()
+        reps = range(5, 9)
+        got = sampler.words(11, reps, size)
+        want = [substream(11, rep).bit_generator.random_raw(-(-size // 2)) for rep in reps]
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        assert np.array_equal(sampler.words(11, reps, size), want)
+
     def test_sampler_masks_keys_like_substream(self):
         sampler = SubstreamSampler()
         for seed, rep in [(-1, 2 ** 64 + 5), (2 ** 70 + 3, -2), (2 ** 64 - 1, 2 ** 33)]:
