@@ -373,15 +373,21 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    knobs = {"seed": args.seed}
-    # every suite takes --seed; a suite without randomness has nothing to seed
+    knobs = {}
     reads = inspect.signature(verify.SUITES[args.suite]).parameters
-    for name in ("max_n", "cases", "max_m"):
-        if getattr(args, name) is not None:
-            if name not in reads:
-                raise ConfigurationError(f"suite {args.suite} does not read "
-                                         f"--{name.replace('_', '-')}")
-            knobs[name] = getattr(args, name)
+    # the least value of each knob: numpy takes no negative seed, and below its
+    # least a size selects no case (modular_elo's moduli start at 3)
+    for name, least in (("seed", 0), ("max_n", 1), ("cases", 1), ("max_m", 3)):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        # every suite takes --seed; a suite without randomness has nothing to seed
+        if name != "seed" and name not in reads:
+            raise ConfigurationError(f"suite {args.suite} does not read {flag}")
+        if value < least:
+            raise ConfigurationError(f"{flag} must be at least {least}, not {value}")
+        knobs[name] = value
     res = verify.run_suite(args.suite, **knobs)
     result = {"kind": "verify", "suite": res.suite, "cases_run": res.cases_run,
               "failures": res.failures,

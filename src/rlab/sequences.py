@@ -758,6 +758,8 @@ def read_sequence_file(path, n: int | None = None) -> list:
             v = int(v) if v.is_integer() else v
         values.append(v)
     if n is not None:
+        if n < 1:
+            raise ConfigurationError("sequence length n must be >= 1")
         if n > len(values):
             raise ConfigurationError(
                 f"{path} holds {len(values)} steps but {n} were requested")

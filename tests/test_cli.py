@@ -1,11 +1,13 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import rlab.bounds
 import rlab.cli
 import rlab.mc
 import rlab.verify
@@ -87,6 +89,14 @@ class TestDist:
         assert res["probs"] == ["1/4", "1/4", "1/4", "1/4"]
         assert res["q"]["value"] == "1/4"
 
+    def test_rational_law_sums_to_one_on_the_float_support(self, tmp_path, spec_file):
+        floats, rational = tmp_path / "pmf.json", tmp_path / "exact.json"
+        assert run("dist", "--seq", spec_file, "--n", 30, "--out", floats) == 0
+        assert run("dist", "--seq", spec_file, "--n", 30, "--exact", "--out", rational) == 0
+        law = load(rational)["result"]
+        assert sum(map(Fraction, law["probs"])) == 1
+        assert law["support"] == load(floats)["result"]["support"]
+
     def test_modular_mode(self, tmp_path, seq_file):
         out = tmp_path / "mod.json"
         assert run("dist", "--seq", seq_file, "--n", 2, "--mod", 4, "--out", out) == 0
@@ -144,6 +154,14 @@ class TestDist:
         err = capsys.readouterr().err
         assert f"seq.txt:3: step '{line}' is not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one_exits_2(self, tmp_path, capsys, seq_file, n):
+        out = tmp_path / "pmf.json"
+        assert run("dist", "--seq", seq_file, "--n", n, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error: sequence length n must be >= 1" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_exact_residues_rejected(self, tmp_path, seq_file):
         out = tmp_path / "mod.json"
@@ -224,6 +242,14 @@ class TestBounds:
         assert run("bounds", "--check", *argv, "--seq", seq_file, "--out", out) == 0
         assert load(out)["result"] == {"kind": "bound", **result}
 
+    @pytest.mark.parametrize("name", list(rlab.bounds.CHECKS))
+    def test_every_check_satisfied_on_sqrt_block(self, tmp_path, spec_file, name):
+        flags = ["--m", 17] if "m" in rlab.bounds.CHECKS[name][1] else []
+        out = tmp_path / "rep.json"
+        assert run("bounds", "--check", name, *flags, "--seq", spec_file, "--n", 30,
+                   "--out", out) == 0
+        assert load(out)["result"]["satisfied"] is True
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_hoeffding_non_finite_t_exits_2(self, tmp_path, capsys, seq_file, t):
         out = tmp_path / "rep.json"
@@ -245,9 +271,12 @@ class TestBounds:
         ["--check", "elo", "--delta", 3],
         ["--check", "hoeffding", "--gamma", 0.5],
         ["--exponent", "--alpha", 1],
+        ["--check", "elo", "--n", 0],
+        ["--check", "elo", "--n", -2],
     ], ids=["elo_m", "elo_t", "lower_anti_t", "paley_zygmund_m", "hoeffding_m",
             "modular_elo_t", "check_with_exponent", "modular_elo_without_m",
-            "check_alpha", "check_delta", "check_gamma", "exponent_seq"])
+            "check_alpha", "check_delta", "check_gamma", "exponent_seq", "n_zero",
+            "n_negative"])
     def test_flag_mismatch_exits_2(self, tmp_path, capsys, seq_file, argv):
         out = tmp_path / "rep.json"
         assert run("bounds", *argv, "--seq", seq_file, "--out", out) == 2
@@ -354,6 +383,42 @@ class TestMc:
         assert run("mc", "--manifest", out1, "--out", out2) == 0
         assert json.dumps(load(out1)["result"], sort_keys=True) == \
             json.dumps(load(out2)["result"], sort_keys=True)
+
+    @pytest.mark.parametrize("overrides", [
+        {"master_seed": 7, "replicates": 200, "horizon": 170,
+         "params": {"C": 0, "block_ks": [1, 2]}},
+        {"master_seed": 7, "replicates": 200, "horizon": 170,
+         "params": {"C": 2.5, "block_ks": [1, 2]}},
+        {"master_seed": 11, "replicates": 5000, "horizon": 100,
+         "experiment": "q1_estimate", "params": {"n": 100}},
+    ], ids=["interval_hits", "fractional_C", "q1_estimate"])
+    def test_two_thread_run_replays(self, tmp_path, overrides):
+        man = write_manifest(tmp_path, **overrides)
+        out, replay = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("mc", "--manifest", man, "--out", out, "--threads", 2) == 0
+        assert run("mc", "--manifest", out, "--out", replay) == 0
+        assert load(out)["result"] == load(replay)["result"]
+
+    def test_log_power_coupling_replays_or_fails_alike(self, tmp_path, capsys):
+        # a game whose values outgrow the horizon fails its whole run (exit 3, no
+        # report), so each seed must repeat its outcome and each report must replay
+        replayed = 0
+        for seed in range(1, 9):
+            man = write_manifest(tmp_path, master_seed=seed, replicates=3, horizon=1,
+                                 spec={"family": "log_power", "alpha": 1},
+                                 experiment="coupling", params={"d": 0.7, "epsilon": 0.2})
+            out, replay = tmp_path / f"log{seed}.json", tmp_path / f"replay{seed}.json"
+            code = run("mc", "--manifest", man, "--out", out)
+            err = capsys.readouterr().err
+            if code == 0:
+                assert run("mc", "--manifest", out, "--out", replay) == 0
+                assert load(out)["result"] == load(replay)["result"]
+                replayed += 1
+            else:
+                assert code == 3 and not out.exists()
+                assert run("mc", "--manifest", man, "--out", out) == 3
+                assert capsys.readouterr().err == err and not out.exists()
+        assert replayed >= 1
 
     def test_q1_experiment(self, tmp_path):
         man = write_manifest(tmp_path, experiment="q1_estimate",
@@ -582,6 +647,24 @@ class TestVerifyCommand:
         assert run("verify", *argv, "--out", out) == 2
         assert "does not read --" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "elo", "--max-n", 0],
+        ["--suite", "hoeffding", "--max-n", -4],
+        ["--suite", "combine_scales", "--cases", -1],
+        ["--suite", "prefix", "--cases", 0],
+        ["--suite", "modular_elo", "--max-m", 1],
+        ["--suite", "modular_elo", "--max-m", 2],
+        *(["--suite", name, "--seed", -1] for name in sorted(rlab.verify.SUITES)),
+    ], ids=["elo_max_n_0", "hoeffding_max_n_minus_4", "combine_scales_cases_minus_1",
+            "prefix_cases_0", "modular_elo_max_m_1", "modular_elo_max_m_2",
+            *(f"{name}_seed_minus_1" for name in sorted(rlab.verify.SUITES))])
+    def test_knob_below_its_least_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "v.json"
+        assert run("verify", *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error:" in err and "must be at least" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_every_suite_takes_seed(self, monkeypatch):
         seen = []
