@@ -253,7 +253,7 @@ def cmd_dist(args) -> int:
     steps = _load_steps(args, n=args.n)
     inputs = {"seq": args.seq, "n": args.n, "q": args.q, "mod": args.mod,
               "exact": bool(args.exact)}
-    if args.mod:
+    if args.mod is not None:
         if args.exact:
             raise ConfigurationError(
                 "--exact is not supported with --mod (residue laws are float)")

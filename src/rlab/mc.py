@@ -198,14 +198,16 @@ def _map_blocks(manifest: McRunManifest, worker, size: int, threads: int) -> lis
     """`worker(signs)` for each block of replicates, returned in replicate order.
 
     A block is the int8 matrix of the first `size` signs of about _BLOCK / size
-    (at least one) consecutive replicates, one row each. The calling thread draws every
-    block's raw words with one `SubstreamSampler`; `threads - 1` pool workers
-    map them to signs and run `worker`, and at most `threads` blocks are drawn
-    and not yet collected. Both counts are capped at the usable CPUs, and with
-    one thread everything runs on the calling thread. A worker's error stops
-    the drawing and is raised here once the blocks in flight end. Replicate
-    i's signs depend only on (master_seed, i), so the results are the same
-    for any thread count.
+    (at least one) consecutive replicates, one row each; `size` is the prefix
+    the experiment walks (its last window end, n or block end), not the
+    horizon. The calling thread draws every block's raw words with one
+    `SubstreamSampler`; `threads - 1` pool workers map them to signs and run
+    `worker`, and at most `threads` blocks are drawn and not yet collected.
+    Both counts are capped at the usable CPUs, and with one thread everything
+    runs on the calling thread. A worker's error stops the drawing and is
+    raised here once the blocks in flight end. Replicate i's signs depend
+    only on (master_seed, i), so the results are the same for any thread
+    count.
     """
     R, rows = manifest.replicates, max(1, _BLOCK // max(1, size))
     sampler = SubstreamSampler()
@@ -399,6 +401,33 @@ def embed_2d(trace, k: int) -> TwoDEmbedding:
     c = trace[0]
     visits = sum(1 for (pa, pb) in path if big * pa + 2 * pb + c == 0)
     return TwoDEmbedding(path, (big, 2, c), visits)
+
+
+def _embed_blocks(manifest: McRunManifest, k: int, threads: int) -> tuple[int, int]:
+    """Total `embed_2d` line visits over the replicates' paired traces across
+    the (2k)-th block, and the number of traces whose visits differ from
+    their zero count.
+
+    Each replicate walks only the steps up to the block end, so the 64-bit
+    guard reads only those; the traces equal `block_pair_trace`'s.
+    """
+    start, end = recurrence_event_window(k)
+    steps = _steps_array(manifest, end)
+    if end > manifest.horizon:
+        raise ConfigurationError(
+            f"horizon {manifest.horizon} does not reach block end {end}")
+
+    def worker(signs):
+        walk = np.multiply(signs, steps, dtype=steps.dtype)
+        np.cumsum(walk, axis=1, out=walk)
+        # column j holds X_{j+1}: the pair trace is X_{start-1}, X_{start+1}, ..., X_end
+        pairs = walk[:, start - 2::2]
+        visits = np.array([embed_2d(row, k).visits_to_line for row in pairs.tolist()],
+                          dtype=np.int64)
+        return int(visits.sum()), int(np.count_nonzero(visits != (pairs == 0).sum(axis=1)))
+
+    partials = _map_blocks(manifest, worker, end, threads)
+    return sum(v for v, _ in partials), sum(m for _, m in partials)
 
 
 def fit_exponent(points) -> FitResult:
@@ -707,8 +736,8 @@ def _real(value):
 
 
 def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
-    """The `result` block of an `rlab mc` report; interval_hits and
-    q1_estimate run their replicates on `threads` threads (see `_map_blocks`)."""
+    """The `result` block of an `rlab mc` report; interval_hits, q1_estimate
+    and embed2d run their replicates on `threads` threads (see `_map_blocks`)."""
     params = manifest.params
     if manifest.experiment == "interval_hits":
         if ("windows" in params) == ("block_ks" in params):
@@ -736,16 +765,10 @@ def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
         result = {"kind": "mc_q1", **vars(est)}
     elif manifest.experiment == "embed2d":
         k = _param(params, "k", _positive, 1)
-        steps = _steps_array(manifest)
-        mismatches = visits_total = 0
-        for rep in range(manifest.replicates):
-            trace = block_pair_trace(manifest, rep, k, steps=steps)
-            emb = embed_2d(trace, k)
-            visits_total += emb.visits_to_line
-            mismatches += emb.visits_to_line != int(np.count_nonzero(trace == 0))
+        visits, mismatches = _embed_blocks(manifest, k, threads)
         result = {"kind": "mc_embed2d", "k": k, "traces": manifest.replicates,
                   "fidelity_mismatches": mismatches,
-                  "mean_visits": visits_total / manifest.replicates}
+                  "mean_visits": visits / manifest.replicates}
     else:
         d = _param(params, "d", lambda v: float(_real(v)), 1.0)
         eps = _param(params, "epsilon", lambda v: float(_real(v)), 0.1)

@@ -5,12 +5,13 @@ from `(master_seed, replicate)` via the Philox counter-based generator, so
 results do not depend on replicate execution order or worker count.
 
 Every sign is read from raw Philox words by one mapping, `_signs_from_words`:
-sign i is bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half
-first. It is read as the top bit of byte 3 of that half, with the words laid
-out little-endian on any machine. `rademacher_signs` applies it to the next
-words of one stream and `SubstreamSampler.signs` to the first words of many,
-which `SubstreamSampler.words` draws on their own so that another thread can
-map them.
+sign i is +1 when bit 31 of the i-th 32-bit half of `Philox.random_raw`, low
+half first, is set, else -1. With the words laid out little-endian on any
+machine, that bit is the sign bit of the i-th int32, so each sign is one
+compare. `rademacher_signs` applies it to the next words of one stream and
+`SubstreamSampler.signs` to the first words of many, which
+`SubstreamSampler.words` draws on their own so that another thread can map
+them.
 The tests keep numpy's bounded `Generator.integers` over {0, 1} as the
 oracle: it keeps the same bit of the same 32-bit halves, so these are the
 signs rlab drew through it before.
@@ -39,14 +40,14 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
     """The first `size` signs of each row of uint64 Philox words, as int8."""
-    out = np.empty(raw.shape[:-1] + (size,), dtype=np.int8)
-    # Byte 3 of each little-endian 32-bit half holds its bit 31 as bit 7, so
-    # (byte >> 6) & 2 is twice the sign bit. The "<u8" cast makes no copy on a
-    # little-endian machine and swaps the bytes on any other. An odd size
-    # skips the last high half.
-    top = raw.astype("<u8", copy=False).view(np.uint8)[..., 3::4][..., :size]
-    np.right_shift(top, 6, out=out, casting="unsafe")
-    out &= 2
+    # Bit 31 of each little-endian 32-bit half is its int32 sign bit. The "<u8"
+    # cast makes no copy on a little-endian machine and swaps the bytes on any
+    # other. An odd size skips the last high half. The bools, read as int8 0 or
+    # 1, become 2b - 1 in place; numpy adds int8 vectors far faster than it
+    # shifts them.
+    halves = raw.astype("<u8", copy=False).view("<i4")[..., :size]
+    out = np.less(halves, 0).view(np.int8)
+    out += out
     out -= 1
     return out
 
@@ -72,6 +73,13 @@ class SubstreamSampler:
 
     def __init__(self):
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        # a fresh state of plain ints, which numpy's setter reads faster than
+        # the numpy arrays its getter returns
+        self._key = [0, 0]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
 
     def words(self, master_seed: int, indices, size: int) -> np.ndarray:
         """The raw Philox words behind the first `size` signs of each substream
@@ -79,19 +87,18 @@ class SubstreamSampler:
 
         Row r holds the first words of `substream(master_seed, indices[r])`,
         so `_signs_from_words(rows, size)` gives the same signs on whichever
-        thread maps them. Drawing is the only step that touches the sampler.
+        thread maps them. Each row re-keys the one Philox to counter 0 and key
+        (master_seed, indices[r]), both masked to 64 bits, from the sampler's
+        dict of plain ints. Drawing is the only step that touches the sampler.
         """
         words = -(-size // 2)
-        state = self._bitgen.state
-        state["state"]["counter"][:] = 0
-        key = state["state"]["key"]
+        key, bitgen = self._key, self._bitgen
         key[0] = master_seed & 0xFFFFFFFFFFFFFFFF
-        state["buffer_pos"] = 4
         raw = np.empty((len(indices), words), dtype=np.uint64)
         for row, index in enumerate(indices):
             key[1] = index & 0xFFFFFFFFFFFFFFFF
-            self._bitgen.state = state
-            raw[row] = self._bitgen.random_raw(words)
+            bitgen.state = self._state
+            raw[row] = bitgen.random_raw(words)
         return raw
 
     def signs(self, master_seed: int, indices, size: int) -> np.ndarray:

@@ -163,6 +163,15 @@ class TestDist:
         assert "rlab: error: sequence length n must be >= 1" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_modulus_below_two_exits_2(self, tmp_path, capsys, seq_file, m):
+        # --mod 0 is a modulus too, not "no --mod"
+        out = tmp_path / "mod.json"
+        assert run("dist", "--seq", seq_file, "--n", 4, "--mod", m, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error: modulus m must be >= 2" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_exact_residues_rejected(self, tmp_path, seq_file):
         out = tmp_path / "mod.json"
         assert run("dist", "--seq", seq_file, "--n", 2, "--mod", 5, "--exact",
@@ -532,11 +541,12 @@ class TestMc:
     @pytest.mark.parametrize("experiment, params", [
         ("interval_hits", {"C": 0, "block_ks": [1, 2, 3]}),
         ("q1_estimate", {"n": 2730}),
+        ("embed2d", {"k": 3}),
     ])
     def test_result_same_for_any_thread_count(self, tmp_path, monkeypatch, experiment,
                                               params):
-        # 2,000 replicates of 2,730 signs span three blocks; three usable CPUs
-        # let three threads run two workers
+        # 2,000 replicates of 2,730 signs (block k = 3 ends at step 2,730) span
+        # three blocks; three usable CPUs let three threads run two workers
         monkeypatch.setattr(rlab.mc, "_usable_cpus", lambda: 3)
         man = write_manifest(tmp_path, experiment=experiment, replicates=2000,
                              horizon=2730, params=params)

@@ -566,6 +566,102 @@ class TestEmbed2d:
             assert np.all(np.abs(diffs) == 1)
 
 
+def embed2d_oracle(man, k):
+    """embed2d's result by one `block_pair_trace` per replicate over
+    `simulate_walk`, each on the whole horizon."""
+    steps = mc._steps_array(man)
+    visits = mismatches = 0
+    for rep in range(man.replicates):
+        trace = block_pair_trace(man, rep, k, steps=steps)
+        emb = embed_2d(trace, k)
+        visits += emb.visits_to_line
+        mismatches += emb.visits_to_line != int(np.count_nonzero(trace == 0))
+    return {"kind": "mc_embed2d", "k": k, "traces": man.replicates,
+            "fidelity_mismatches": mismatches, "mean_visits": visits / man.replicates}
+
+
+class TestEmbed2dBlocks:
+    """`run_experiment`'s embed2d walks blocks of replicates up to the block
+    end; the per-replicate loop above is its oracle. The horizon runs past
+    the last block end, so the walks stop early. Blocks of 1,000 sign
+    entries split the replicates into 3 (k = 1), 50 (k = 2) and 120 (k = 3)
+    blocks."""
+
+    HORIZON = 2745
+
+    @staticmethod
+    def embed_manifest(k, replicates=120, horizon=HORIZON, seed=None, **spec):
+        return McRunManifest.from_dict({
+            "master_seed": 300 + k if seed is None else seed, "replicates": replicates,
+            "horizon": horizon, "spec": spec or {"family": "sqrt_block"},
+            "experiment": "embed2d", "params": {"k": k}})
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("block", [mc._BLOCK, 1000], ids=["default", "small"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("k, replicates", [(1, 300), (2, 250), (3, 120)])
+    def test_matches_per_replicate_oracle(self, monkeypatch, k, replicates, threads,
+                                          block):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        man = self.embed_manifest(k, replicates)
+        result = run_experiment(man, threads=threads)
+        del result["mc_manifest"], result["generator"]
+        assert result == embed2d_oracle(man, k)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("man", [
+        embed_manifest(1, family="power", alpha=0.5),
+        embed_manifest(2, horizon=169),
+    ], ids=["real_steps", "short_horizon"])
+    def test_same_error_as_oracle(self, monkeypatch, man, threads):
+        monkeypatch.setattr(mc, "_BLOCK", 1000)
+        k = man.params["k"]
+        with pytest.raises((DomainError, ConfigurationError)) as want:
+            embed2d_oracle(man, k)
+        with pytest.raises(want.type) as got:
+            run_experiment(man, threads=threads)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_draws_only_to_the_block_end(self, monkeypatch, k):
+        monkeypatch.setattr(mc, "_BLOCK", 1000)
+        asked = []
+
+        class CountingSampler(SubstreamSampler):
+            def words(self, master_seed, indices, size):
+                asked.append((list(indices), size))
+                return super().words(master_seed, indices, size)
+
+        monkeypatch.setattr(mc, "SubstreamSampler", CountingSampler)
+        run_experiment(self.embed_manifest(k, 40), threads=2)
+        end = recurrence_event_window(k)[1]
+        assert {size for _, size in asked} == {end}
+        assert [i for indices, _ in asked for i in indices] == list(range(40))
+
+    @pytest.mark.parametrize("huge_at, code", [(11, 0), (1, 3)],
+                             ids=["past_block_end", "inside_block"])
+    def test_guard_reads_only_to_the_block_end(self, tmp_path, huge_at, code):
+        # block k = 1 ends at step 10; a 2**62 step past it cannot move the walk
+        values = generate(StepSequenceSpec("sqrt_block"), 11)
+        values[huge_at - 1] = 2 ** 62
+        body = {"master_seed": 5, "replicates": 60, "horizon": 11,
+                "spec": {"family": "custom", "custom_values": values},
+                "experiment": "embed2d", "params": {"k": 1}}
+        path, out = tmp_path / "run.json", tmp_path / "report.json"
+        path.write_text(json.dumps(body))
+        assert rlab.cli.main(["mc", "--manifest", str(path), "--out", str(out),
+                              "--threads", "2"]) == code
+        if code:
+            assert not out.exists()
+            return
+        got = json.loads(out.read_text())["result"]
+        del got["mc_manifest"], got["generator"]
+        assert got == embed2d_oracle(self.embed_manifest(1, 60, 10, seed=5), 1)
+
+
 class TestFitExponent:
     def test_exact_power_law(self):
         fit = fit_exponent([(n, n ** -2.0) for n in (5, 10, 20, 40)])

@@ -47,6 +47,26 @@ class TestSubstreams:
         assert got.dtype == np.uint64 and np.array_equal(got, want)
         assert np.array_equal(sampler.words(11, reps, size), want)
 
+    @pytest.mark.parametrize("key", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("size", [1, 6, 9])
+    def test_words_are_philox_keyed_directly(self, key, size):
+        # seed and index masked to 64 bits key a fresh Philox at counter 0; the
+        # key goes in as a uint64 array, since numpy reads a list that mixes
+        # ints past 2**63 with small ones through float64
+        M = 2 ** 64 - 1
+        sampler = SubstreamSampler()
+        for seed, idx in [(key, key), (key, 3), (3, key), (-1 - key, key), (-7, key)]:
+            want = np.random.Philox(key=np.array([seed & M, idx & M], dtype=np.uint64))
+            got = sampler.words(seed, [idx], size)
+            assert np.array_equal(got, [want.random_raw(-(-size // 2))])
+
+    def test_one_sampler_across_master_seeds(self):
+        # each call re-keys from its own master seed, whatever the last one was
+        sampler = SubstreamSampler()
+        for seed in [5, 2 ** 64 - 1, -3, 5, 0]:
+            want = [substream(seed, rep).bit_generator.random_raw(4) for rep in range(3)]
+            assert np.array_equal(sampler.words(seed, range(3), 8), want)
+
     def test_sampler_masks_keys_like_substream(self):
         sampler = SubstreamSampler()
         for seed, rep in [(-1, 2 ** 64 + 5), (2 ** 70 + 3, -2), (2 ** 64 - 1, 2 ** 33)]:
@@ -108,6 +128,42 @@ class TestSignsAgainstOracle:
                          for row in raw.tolist()])[:, :size]
         for order in ("<u8", ">u8"):
             assert np.array_equal(_signs_from_words(raw.astype(order), size), want)
+
+
+def shifted_byte_signs(raw, size):
+    """Sign i as the top bit of byte 3 of the i-th little-endian 32-bit half,
+    shifted down to 0 or 2 and less one: the mapping the one-compare read
+    replaced."""
+    out = np.empty(raw.shape[:-1] + (size,), dtype=np.int8)
+    top = raw.astype("<u8", copy=False).view(np.uint8)[..., 3::4][..., :size]
+    np.right_shift(top, 6, out=out, casting="unsafe")
+    out &= 2
+    out -= 1
+    return out
+
+
+class TestSignsAgainstByteShift:
+    @pytest.mark.parametrize("shape", [(7,), (64,), (5, 33), (3, 4, 10)],
+                             ids=["1d_odd", "1d_even", "2d", "3d"])
+    @pytest.mark.parametrize("order", ["<u8", ">u8"])
+    def test_matches_byte_shift(self, shape, order):
+        rng = np.random.default_rng(sum(shape))
+        raw = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
+        raw = raw.astype(order)
+        for size in {0, 1, 2 * shape[-1] - 1, 2 * shape[-1]}:
+            got = _signs_from_words(raw, size)
+            assert got.dtype == np.int8 and got.shape == shape[:-1] + (size,)
+            assert np.array_equal(got, shifted_byte_signs(raw, size))
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
+           st.integers(0, 80))
+    @example([2 ** 31, 2 ** 63, 2 ** 32 - 1, 2 ** 31 - 1, 0, 2 ** 64 - 1], 11)
+    def test_matches_byte_shift_on_any_words(self, words, size):
+        size = min(size, 2 * len(words))
+        for order in ("<u8", ">u8"):
+            raw = np.array(words, dtype=np.uint64).astype(order)
+            assert np.array_equal(_signs_from_words(raw, size),
+                                  shifted_byte_signs(raw, size))
 
 
 class TestWilson:
