@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, bounds, exact, mc, verify
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .sequences import (StepSequenceSpec, generate, parse_json_object,
-                        read_sequence_file, write_sequence_file)
+                        read_sequence_file, sequence_text)
 
 
 def _json_default(obj):
@@ -219,33 +219,28 @@ def _write_report(args, command: str, inputs: dict, result: dict) -> dict:
         "manifest": _manifest(command, inputs, args.out),
         "result": result,
     }
-    text = emit_table(report, args.format)
-    if args.out:
-        _atomic_write(args.out, text)
+    _emit(args.out, emit_table(report, args.format))
+    return report
+
+
+def _emit(path: str | None, text: str) -> None:
+    """The one output path: `text` written atomically to `path`, or to stdout."""
+    if path:
+        _atomic_write(path, text)
     else:
         sys.stdout.write(text)
-    return report
 
 
 def _load_steps(args, n=None):
     if not args.seq:
         raise ConfigurationError("this command requires --seq")
-    if not Path(args.seq).exists():
-        raise ConfigurationError(f"sequence file not found: {args.seq}")
     return read_sequence_file(args.seq, n=n)
 
 
 def cmd_gen(args) -> int:
-    if not Path(args.spec).exists():
-        raise ConfigurationError(f"spec file not found: {args.spec}")
     spec = StepSequenceSpec.from_dict(
         parse_json_object(Path(args.spec).read_text(), args.spec, "sequence spec"))
-    steps = generate(spec, args.n)
-    if args.out:
-        write_sequence_file(args.out, steps)
-    else:
-        for v in steps:
-            print(v)
+    _emit(args.out, sequence_text(generate(spec, args.n)))
     return 0
 
 
@@ -322,8 +317,6 @@ def cmd_bounds(args) -> int:
 
 
 def _load_manifest(path: str) -> mc.McRunManifest:
-    if not Path(path).exists():
-        raise ConfigurationError(f"manifest file not found: {path}")
     data = parse_json_object(Path(path).read_text(), path, "manifest")
     if "manifest" in data and "result" in data:  # replaying a persisted report
         result = data["result"]
@@ -345,8 +338,6 @@ def cmd_mc(args) -> int:
 
 
 def _read_points(path: str):
-    if not Path(path).exists():
-        raise ConfigurationError(f"points file not found: {path}")
     points = []
     for idx, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -464,7 +455,9 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a command patched after import is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except (ConfigurationError, DomainError) as exc:
+    # an OSError or UnicodeDecodeError comes from a path the user named (or
+    # stdout): a missing, unreadable or undecodable input, or an unwritable --out
+    except (ConfigurationError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"rlab: error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

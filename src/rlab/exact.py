@@ -121,9 +121,7 @@ class SummaryMoments:
     total: object
 
 
-def support_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return int(explicit)
+def support_cap() -> int:
     env = os.environ.get(SUPPORT_CAP_ENV)
     if not env:
         return DEFAULT_SUPPORT_CAP
@@ -147,14 +145,14 @@ def _as_int_steps(steps) -> list[int]:
     return out
 
 
-def walk_pmf(steps, exact: bool = False, cap: int | None = None) -> ExactPMF:
+def walk_pmf(steps, exact: bool = False) -> ExactPMF:
     """Exact law of the signed sum of `steps` under independent fair signs.
 
     Zero steps are identity convolutions and are skipped. Raises
     InfeasibleError when the projected support would exceed the atom cap.
     """
     int_steps = _as_int_steps(steps)
-    limit = support_cap(cap)
+    limit = support_cap()
     nonzero = sum(1 for a in int_steps if a)
     if exact and nonzero > EXACT_MODE_MAX_STEPS:
         raise ConfigurationError(
@@ -279,11 +277,11 @@ def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
                               float(int(support[best_i]) + (w - 1) - r))
 
 
-def q1_profile(steps, cap: int | None = None) -> list[float]:
+def q1_profile(steps) -> list[float]:
     """Max point mass of the walk law after each prefix of `steps` (float mode)."""
     int_steps = _as_int_steps(steps)
     out: list[float] = []
-    _lattice_law(int_steps, support_cap(cap), on_step=lambda w: out.append(float(w.max())))
+    _lattice_law(int_steps, support_cap(), on_step=lambda w: out.append(float(w.max())))
     return out
 
 

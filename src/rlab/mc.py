@@ -279,26 +279,20 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
             np.cumsum(walk, axis=1, out=walk)
             np.abs(walk, out=walk)
             bound = C
-        hits = np.empty((len(signs), K), dtype=bool)
+        hits = np.empty((len(signs), K), dtype=np.int64)
         for j, (s, e) in enumerate(windows):
             hits[:, j] = (walk[:, s - 1:e] <= bound).any(axis=1)
-        counts = hits.sum(axis=0).astype(np.int64)
-        joint = np.zeros((K, K), dtype=np.int64)
-        for j in range(K):
-            for k in range(j + 1, K):
-                joint[j, k] = int(np.count_nonzero(hits[:, j] & hits[:, k]))
-        return counts, joint
+        # hit counts on the diagonal, joint counts of window pairs off it
+        return hits.T @ hits
 
-    partials = _map_blocks(manifest, worker, last, threads)
-    counts = sum(n for n, _ in partials)
-    joint = sum(j for _, j in partials)
+    gram = sum(_map_blocks(manifest, worker, last, threads))
     R = manifest.replicates
     per_event = {}
     for j in range(K):
-        h = int(counts[j])
+        h = int(gram[j, j])
         lo, hi = wilson_interval(h, R)
         per_event[j + 1] = EventStats(h, R, h / R, lo, hi)
-    joint_map = {(j + 1, k + 1): int(joint[j, k])
+    joint_map = {(j + 1, k + 1): int(gram[j, k])
                  for j in range(K) for k in range(j + 1, K)}
     return RecurrenceStats(per_event, joint_map, R)
 
@@ -345,14 +339,13 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
         cells = np.floor((signs @ steps) * _REAL_STEP_GRID).astype(np.int64)
         return np.unique(cells, return_counts=True)
 
-    totals: dict[int, int] = {}
-    for vals, cnts in _map_blocks(manifest, worker, n, threads):
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            totals[v] = totals.get(v, 0) + c
+    # merge the blocks' histograms; raw positions would grow with the replicates
+    vals, cnts = map(np.concatenate, zip(*_map_blocks(manifest, worker, n, threads)))
+    keys, where = np.unique(vals, return_inverse=True)
+    totals = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(totals, where, cnts)
     # the empirical law in counts over R; a real-step unit window spans 16 cells
-    keys = sorted(totals)
-    law = exact.ExactPMF(np.array(keys, dtype=np.int64),
-                         np.array([totals[k] for k in keys], dtype=np.int64), n, R)
+    law = exact.ExactPMF(keys, totals, n, R)
     q1_hat = float(exact.concentration_q(law, 1 if integral else _REAL_STEP_GRID).result)
     stderr = math.sqrt(q1_hat * (1.0 - q1_hat) / R)
     return Q1Estimate(q1_hat, stderr, R, n, low_sample=R * q1_hat < 100.0)
@@ -424,10 +417,9 @@ def _embed_blocks(manifest: McRunManifest, k: int, threads: int) -> tuple[int, i
         pairs = walk[:, start - 2::2]
         visits = np.array([embed_2d(row, k).visits_to_line for row in pairs.tolist()],
                           dtype=np.int64)
-        return int(visits.sum()), int(np.count_nonzero(visits != (pairs == 0).sum(axis=1)))
+        return np.array([visits.sum(), np.count_nonzero(visits != (pairs == 0).sum(axis=1))])
 
-    partials = _map_blocks(manifest, worker, end, threads)
-    return sum(v for v, _ in partials), sum(m for _, m in partials)
+    return tuple(sum(_map_blocks(manifest, worker, end, threads)).tolist())
 
 
 def fit_exponent(points) -> FitResult:

@@ -767,9 +767,14 @@ def read_sequence_file(path, n: int | None = None) -> list:
     return values
 
 
-def write_sequence_file(path, steps) -> None:
+def sequence_text(steps) -> str:
+    """The sequence-file text of `steps`: one per line, whole values as integers."""
     lines = []
     for v in steps:
         whole = isinstance(v, (int, np.integer)) or float(v).is_integer()
         lines.append(str(int(v)) if whole else repr(float(v)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_sequence_file(path, steps) -> None:
+    Path(path).write_text(sequence_text(steps))

@@ -60,6 +60,40 @@ class TestGen:
         err = capsys.readouterr().err
         assert "rlab: error:" in err and "'x'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "power", "alpha": 0.5},
+        {"family": "sqrt_block"},
+    ], ids=["power", "sqrt_block"])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, spec):
+        # power alpha 0.5 starts 1.0, 1.414..., 1.732..., 2.0: whole floats print as ints
+        path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
+        path.write_text(json.dumps(spec))
+        assert run("gen", "--spec", path, "--n", 9) == 0
+        printed = capsys.readouterr().out
+        assert run("gen", "--spec", path, "--n", 9, "--out", out) == 0
+        assert printed.encode() == out.read_bytes()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"family": "fast_block", "growth_fn": [1.0], "cover_confidence": 1.5},
+         "cover_confidence must lie in (0, 1)"),
+        ({"family": "fast_block", "growth_fn": [2.0, 1.0]},
+         "growth_fn table must be non-decreasing"),
+        ({"family": "geometric", "growth_fn": [0.5, 2.0]},
+         "geometric family requires growth_fn >= 1"),
+        ({"family": "constant", "alpha": -1}, "constant family requires a non-negative level"),
+        ({"family": "custom", "custom_values": [1, -2, 3]}, "custom step 2 is negative"),
+        ({"family": "power"}, "power family requires alpha"),
+    ], ids=["cover_confidence", "growth_fn_decreasing", "geometric_below_1",
+            "constant_negative", "custom_negative", "power_without_alpha"])
+    def test_out_of_range_spec_value_exits_2(self, tmp_path, capsys, spec, message):
+        path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
+        path.write_text(json.dumps(spec))
+        assert run("gen", "--spec", path, "--n", 3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"rlab: error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text('{"family": ')
@@ -488,6 +522,37 @@ class TestMc:
         assert "rlab: error:" in err and f"params.{name}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"replicates": 0}, "replicates must be >= 1"),
+        ({"horizon": 0}, "horizon must be >= 1"),
+        ({"params": {"C": -1, "windows": [[1, 4]]}}, "C must be non-negative"),
+        ({"experiment": "q1_estimate", "params": {"n": 11}}, "n=11 outside 1..10"),
+        ({"experiment": "embed2d", "params": {"k": 2}},
+         "horizon 10 does not reach block end 170"),
+        ({"spec": {"family": "sqrt_block"}},
+         "family 'sqrt_block' does not provide unbounded steps with vanishing gaps"),
+        ({"spec": {"family": "power", "alpha": 0.5, "floor_values": True}},
+         "floored power steps have unit gaps"),
+        ({"spec": {"family": "power", "alpha": 1.5}},
+         "coupling requires power alpha in (0, 1)"),
+        ({"spec": {"family": "log_power", "alpha": 1, "floor_values": True}},
+         "floored log-power steps have integer gaps"),
+        ({"spec": {"family": "custom", "custom_values": [1, 2]}},
+         "custom coupling sequence needs >= 3 values"),
+    ], ids=["zero_replicates", "zero_horizon", "negative_C", "q1_past_horizon",
+            "embed2d_past_horizon", "coupling_sqrt_block", "coupling_floored_power",
+            "coupling_power_1.5", "coupling_floored_log_power", "coupling_custom_2_values"])
+    def test_out_of_range_run_exits_2(self, tmp_path, capsys, overrides, message):
+        if "spec" in overrides:
+            overrides = {"experiment": "coupling", "params": {"d": 1.0, "epsilon": 0.1},
+                         **overrides}
+        man = write_manifest(tmp_path, **overrides)
+        out = tmp_path / "report.json"
+        assert run("mc", "--manifest", man, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"rlab: error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment,params,name", [
         ("interval_hits", {"C": math.nan, "windows": [[1, 4]]}, "C"),
         ("interval_hits", {"C": math.inf, "windows": [[1, 4]]}, "C"),
@@ -635,6 +700,19 @@ class TestFitAndFormats:
         assert lines[0] == "residue,prob"
         assert len(lines) == 5
 
+    def test_interval_hits_csv_projection(self, tmp_path):
+        man = write_manifest(tmp_path, replicates=400, horizon=170,
+                             params={"C": 0, "block_ks": [1, 2]})
+        report, table = tmp_path / "hits.json", tmp_path / "hits.csv"
+        assert run("mc", "--manifest", man, "--out", report) == 0
+        assert run("mc", "--manifest", man, "--out", table, "--format", "csv") == 0
+        lines = table.read_text().splitlines()
+        assert lines[0] == "event,hits,replicates,p_hat,wilson_lo,wilson_hi"
+        events = load(report)["result"]["per_event"]
+        assert lines[1:] == [f"{k},{ev['hits']},{ev['replicates']},{ev['p_hat']:.12g},"
+                             f"{ev['wilson_lo']:.12g},{ev['wilson_hi']:.12g}"
+                             for k, ev in events.items()]
+
     def test_unknown_kind_header_only(self):
         text = emit_table({"result": {"kind": "mystery"}}, "csv")
         assert text.splitlines()[0] == "key,value"
@@ -731,6 +809,49 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _input_argv(command, path):
+    """argv that reads `path` as the command's one input file."""
+    return {"gen": ["gen", "--spec", path, "--n", 3],
+            "dist": ["dist", "--seq", path, "--n", 2],
+            "bounds": ["bounds", "--check", "elo", "--seq", path],
+            "mc": ["mc", "--manifest", path],
+            "fit": ["fit", "--points", path]}[command]
+
+
+class TestFileEdge:
+    """Every file the CLI reads or writes fails through the OS: exit 2, no report."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("command", ["gen", "dist", "bounds", "mc", "fit"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe1\n2\n3\n")
+        out = tmp_path / "report.out"
+        assert run(*_input_argv(command, path), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rlab: error: ") and "Traceback" not in err
+        assert not out.exists() and not list(tmp_path.glob("*.tmp*"))
+
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    @pytest.mark.parametrize("command", ["gen", "dist"])
+    def test_unwritable_out_exits_2_without_temp_file(self, tmp_path, capsys, spec_file,
+                                                      command, target):
+        out = tmp_path / "taken"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = out / "seq.txt"
+        assert run(*_input_argv(command, spec_file), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rlab: error: cannot write report {out}: ")
+        assert "Traceback" not in err and capsys.readouterr().out == ""
+        assert (target == "directory") == out.is_dir()
+        assert not list(tmp_path.rglob("*.tmp*"))
 
 
 class TestInternalError:

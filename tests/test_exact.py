@@ -78,9 +78,10 @@ class TestWalkPmf:
         with pytest.raises(DomainError):
             walk_pmf([1.5])
 
-    def test_support_cap(self):
+    def test_support_cap(self, monkeypatch):
+        monkeypatch.setenv("RLAB_SUPPORT_CAP", "5")
         with pytest.raises(InfeasibleError, match="step 3"):
-            walk_pmf([1, 10, 100], cap=5)
+            walk_pmf([1, 10, 100])
 
     def test_rational_mode_step_limit(self):
         with pytest.raises(ConfigurationError):
