@@ -26,8 +26,9 @@ import numpy as np
 
 from . import __version__, bounds, exact, mc, verify
 from .errors import ConfigurationError, DomainError, InfeasibleError
+from .numtext import float_list_text, float_text, int_list_text
 from .sequences import (StepSequenceSpec, generate, parse_json_object,
-                        read_sequence_file, sequence_text)
+                        read_input_text, read_sequence_file, sequence_text)
 
 
 def _json_default(obj):
@@ -46,34 +47,8 @@ def _json_default(obj):
 # json.dumps(obj, indent=2, default=_json_default), which tests keep as its
 # oracle. json uses its C encoder only without `indent`, and its pure-Python
 # one walks every list item; this writer renders lists of one scalar type in
-# a single pass instead.
+# a single pass instead, long float and int lists with numpy (`numtext`).
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _float_texts(items) -> list[str]:
-    """Texts of a sequence of floats, each distinct value repr'd once.
-
-    Walk laws repeat most probabilities (a symmetric law holds each twice).
-    Values are told apart by bit pattern, so -0.0 and 0.0 keep their texts.
-    """
-    bits, where = np.unique(np.array(items, dtype=np.float64).view(np.int64),
-                            return_inverse=True)
-    values = bits.view(np.float64)
-    texts = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = _float_text(values[i])
-    return np.array(texts, dtype=object)[where].tolist()
 
 
 def _key_text(key) -> str:
@@ -81,7 +56,7 @@ def _key_text(key) -> str:
     if isinstance(key, str):
         return key
     if isinstance(key, float):
-        return _float_text(key)
+        return float_text(key)
     if key is True or key is False or key is None:
         return json.dumps(key)
     if isinstance(key, int):
@@ -103,7 +78,7 @@ def _write_json(obj, pad: str, out: list) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        out.append(_float_text(obj))
+        out.append(float_text(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -114,9 +89,9 @@ def _write_json(obj, pad: str, out: list) -> None:
         # exact types: bools and numpy.float64 items take the item-by-item path
         kinds = set(map(type, obj))
         if kinds == {float}:
-            out.append(sep.join(_float_texts(obj)))
+            out.extend(float_list_text(obj, sep))
         elif kinds == {int}:
-            out.append(sep.join(map(int.__repr__, obj)))
+            out.extend(int_list_text(obj, sep))
         elif kinds == {str}:
             out.append(sep.join(map(_quote, obj)))
         else:
@@ -142,7 +117,7 @@ def _write_json(obj, pad: str, out: list) -> None:
         _write_json(_json_default(obj), pad, out)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: str, what: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
@@ -150,7 +125,7 @@ def _atomic_write(path: str, text: str) -> None:
         os.replace(tmp, path)
     except OSError as exc:
         Path(tmp).unlink(missing_ok=True)
-        raise ConfigurationError(f"cannot write report {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _manifest(command: str, inputs: dict, output_path: str | None) -> dict:
@@ -219,14 +194,17 @@ def _write_report(args, command: str, inputs: dict, result: dict) -> dict:
         "manifest": _manifest(command, inputs, args.out),
         "result": result,
     }
-    _emit(args.out, emit_table(report, args.format))
+    _emit(args.out, emit_table(report, args.format), "report")
     return report
 
 
-def _emit(path: str | None, text: str) -> None:
-    """The one output path: `text` written atomically to `path`, or to stdout."""
+def _emit(path: str | None, text: str, what: str) -> None:
+    """The one output path: `text` written atomically to `path`, or to stdout.
+
+    `what` names the text in a write error.
+    """
     if path:
-        _atomic_write(path, text)
+        _atomic_write(path, text, what)
     else:
         sys.stdout.write(text)
 
@@ -239,8 +217,8 @@ def _load_steps(args, n=None):
 
 def cmd_gen(args) -> int:
     spec = StepSequenceSpec.from_dict(
-        parse_json_object(Path(args.spec).read_text(), args.spec, "sequence spec"))
-    _emit(args.out, sequence_text(generate(spec, args.n)))
+        parse_json_object(read_input_text(args.spec), args.spec, "sequence spec"))
+    _emit(args.out, sequence_text(generate(spec, args.n)), "sequence file")
     return 0
 
 
@@ -317,7 +295,7 @@ def cmd_bounds(args) -> int:
 
 
 def _load_manifest(path: str) -> mc.McRunManifest:
-    data = parse_json_object(Path(path).read_text(), path, "manifest")
+    data = parse_json_object(read_input_text(path), path, "manifest")
     if "manifest" in data and "result" in data:  # replaying a persisted report
         result = data["result"]
         data = result.get("mc_manifest") if isinstance(result, dict) else None
@@ -339,7 +317,7 @@ def cmd_mc(args) -> int:
 
 def _read_points(path: str):
     points = []
-    for idx, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for idx, line in enumerate(read_input_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.lower().startswith(("n,", "#")):
             continue
@@ -455,9 +433,9 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a command patched after import is the one run
         return globals()[f"cmd_{args.command}"](args)
-    # an OSError or UnicodeDecodeError comes from a path the user named (or
-    # stdout): a missing, unreadable or undecodable input, or an unwritable --out
-    except (ConfigurationError, DomainError, OSError, UnicodeDecodeError) as exc:
+    # an OSError comes from a path the user named (or stdout): a missing or
+    # unreadable input, or an unwritable --out
+    except (ConfigurationError, DomainError, OSError) as exc:
         print(f"rlab: error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

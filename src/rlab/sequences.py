@@ -728,9 +728,21 @@ def parse_json_object(text: str, path, what: str) -> dict:
     return data
 
 
+def read_input_text(path) -> str:
+    """The text of an input file the user named.
+
+    Bytes that do not decode are a ConfigurationError naming the file; the
+    decode error itself carries no path. OSErrors name it already.
+    """
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot decode {path}: {exc}") from exc
+
+
 def read_sequence_file(path, n: int | None = None) -> list:
     """Load steps from a file: newline-delimited decimals, or a JSON spec object."""
-    text = Path(path).read_text()
+    text = read_input_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         spec = StepSequenceSpec.from_dict(parse_json_object(text, path, "sequence spec"))

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import rlab.bounds
 import rlab.cli
 import rlab.mc
+import rlab.numtext
 import rlab.verify
 from rlab.cli import _json_default, emit_table, main
 from rlab.verify import VerifySuiteResult
@@ -835,6 +836,7 @@ class TestFileEdge:
         assert run(*_input_argv(command, path), "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("rlab: error: ") and "Traceback" not in err
+        assert str(path) in err
         assert not out.exists() and not list(tmp_path.glob("*.tmp*"))
 
     @pytest.mark.parametrize("target", ["directory", "missing_parent"])
@@ -848,7 +850,8 @@ class TestFileEdge:
             out = out / "seq.txt"
         assert run(*_input_argv(command, spec_file), "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"rlab: error: cannot write report {out}: ")
+        what = "sequence file" if command == "gen" else "report"
+        assert err.startswith(f"rlab: error: cannot write {what} {out}: ")
         assert "Traceback" not in err and capsys.readouterr().out == ""
         assert (target == "directory") == out.is_dir()
         assert not list(tmp_path.rglob("*.tmp*"))
@@ -982,6 +985,15 @@ class TestJsonWriter:
         assert run(*[str(a).format(**files) for a in argv], "--out", out) == 0
         (report, text), = written
         assert text == oracle(report) == out.read_text()
+
+    def test_long_power_law_report_matches_json_dumps(self, tmp_path, written):
+        spec = tmp_path / "power.json"
+        spec.write_text(json.dumps({"family": "power", "alpha": 1}))
+        assert run("dist", "--seq", spec, "--n", 449, "--out", tmp_path / "r.json") == 0
+        (report, text), = written
+        assert len(report["result"]["probs"]) >= rlab.numtext.BULK_MIN
+        # compared as lists of lines: pytest's diff of two 4 MB strings is slow
+        assert text.split("\n") == oracle(report).split("\n")
 
     def test_dist_report_lists_are_plain_python(self, tmp_path, spec_file, written):
         assert run("dist", "--seq", spec_file, "--n", 12) == 0
