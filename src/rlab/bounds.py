@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -109,14 +108,15 @@ def anti_exponent_f(query: ExponentQuery) -> ExponentQuery:
 
 
 def rademacher_point_mass(n: int, x: int) -> float:
-    """P(sum of n fair signs = x): exact rational below 1000 steps, log-gamma above."""
+    """P(sum of n fair signs = x): binom(n, k) / 2**n correctly rounded up to 1000
+    steps, log-gamma above."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if (x - n) % 2 != 0 or abs(x) > n:
         return 0.0
     k = (n + x) // 2
     if n <= _EXACT_BINOMIAL_LIMIT:
-        return float(Fraction(math.comb(n, k), 2**n))
+        return math.comb(n, k) / 2**n  # int / int is correctly rounded
     return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
                     - math.lgamma(n - k + 1) - n * math.log(2.0))
 
@@ -148,6 +148,15 @@ def cosine_product_bound(m: int, steps, all_ones: bool = False) -> float:
     """
     if m < 2:
         raise DomainError("modulus m must be >= 2")
+    counts = _coprime_counts(m, steps)
+    return _cosine_sum(m, exact.residue_coefficients(
+        m, {1: sum(counts.values())} if all_ones else counts))
+
+
+def _coprime_counts(m: int, steps) -> dict:
+    """The number of steps in each residue class mod m, in order of first
+    appearance. Raises for the first step, in step order, that is not a
+    positive integer coprime to m, and for no steps at all."""
     # gcd(b, m) depends only on b % m: check each residue at its first step
     counts = {}
     first = {}
@@ -165,10 +174,7 @@ def cosine_product_bound(m: int, steps, all_ones: bool = False) -> float:
     _require_coprime(m, first)
     if not counts:
         raise DomainError("at least one step is required")
-    half = np.abs(exact.residue_coefficients(
-        m, {1: sum(counts.values())} if all_ones else counts))
-    # lambda and m - lambda share a coefficient
-    return float((half.sum() + half[1:(m + 1) // 2].sum()) / m)
+    return counts
 
 
 def _require_coprime(m: int, first: dict) -> None:
@@ -176,6 +182,13 @@ def _require_coprime(m: int, first: dict) -> None:
     for r, (idx, b) in first.items():
         if math.gcd(r, m) != 1:
             raise DomainError(f"step {idx} (= {b}) shares a factor with modulus {m}")
+
+
+def _cosine_sum(m: int, coefficients) -> float:
+    """(1/m) * the sum over all m residues of |coefficient|, from the half table."""
+    half = np.abs(coefficients)
+    # lambda and m - lambda share a coefficient
+    return float((half.sum() + half[1:(m + 1) // 2].sum()) / m)
 
 
 def lower_anti_floor(variance: float) -> float:
@@ -212,14 +225,19 @@ def local_clt_approx(n: int, x: int) -> float:
     return math.exp(-x * x / (2.0 * n)) / math.sqrt(math.pi * n / 2.0)
 
 
-def combine_scales_rhs(qr_a: float, qs_b: float, tail_a_at_s: float) -> float:
+def combine_scales_rhs(qr_a, qs_b, tail_a_at_s):
     """Right side of the two-scale combination: P(|A| >= s) + 3 Q_r(A) Q_s(B).
 
-    May exceed 1; callers clamp for reporting.
+    Takes floats, or float arrays of one shape holding one case per element.
+    Raises for the first case, in C order, with an input outside [0, 1]. May
+    exceed 1; callers clamp for reporting.
     """
-    for name, v in (("qr_a", qr_a), ("qs_b", qs_b), ("tail_a_at_s", tail_a_at_s)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {v}")
+    values = np.broadcast_arrays(qr_a, qs_b, tail_a_at_s)
+    if not all(np.all((0.0 <= v) & (v <= 1.0)) for v in values):
+        for case in zip(*(v.ravel().tolist() for v in values)):
+            for name, v in zip(("qr_a", "qs_b", "tail_a_at_s"), case):
+                if not 0.0 <= v <= 1.0:
+                    raise DomainError(f"{name} must lie in [0, 1], got {v}")
     return tail_a_at_s + 3.0 * qr_a * qs_b
 
 
@@ -266,7 +284,14 @@ def _elo(steps, pmf):
 
 
 def _modular_elo(steps, law, m):
-    return ({"m": m, "n": len(steps), "cosine_bound": cosine_product_bound(m, steps)},
+    # the law counted the steps by residue: with no step in class 0 and every
+    # class a unit mod m, each step is a positive integer coprime to m, and the
+    # cosine bound sums the law's own coefficient table
+    counts = law.counts
+    if (not counts or sum(counts.values()) != len(steps)
+            or any(math.gcd(r, m) != 1 for r in counts)):
+        _coprime_counts(m, steps)  # raises for the first offending step
+    return ({"m": m, "n": len(steps), "cosine_bound": _cosine_sum(m, law.coefficients)},
             modular_elo_bound(m, len(steps)), float(law.probs.max()))
 
 

@@ -17,9 +17,15 @@ of counts is at most 2**40, so `math.fsum` and `cumsum` give it exactly, and
 one Fraction is built per answer. Support values are int64 in both modes, so
 the steps must sum to less than 2**62.
 
+The window scan of `concentration_q`, the tail sum of `abs_tail_prob` and the
+pairwise sum of `convolve` each run on weights with a leading row axis: the
+`*_rows` functions answer a stack of float laws on one shared support in one
+set of array passes, bit for bit as one call per law would.
+
 The law on Z/mZ depends only on the number of steps in each nonzero residue
 class: `residue_coefficients` gives its Fourier coefficients, which
-`modular_walk_pmf` inverts and `bounds.cosine_product_bound` sums.
+`modular_walk_pmf` inverts and keeps on the law, and which
+`bounds.cosine_product_bound` sums.
 """
 
 from __future__ import annotations
@@ -99,10 +105,17 @@ class ExactPMF:
 
 @dataclass
 class ModularPMF:
-    """Dense law of a walk position on Z/mZ; probs[r] = P(X = r mod m)."""
+    """Dense law of a walk position on Z/mZ; probs[r] = P(X = r mod m).
+
+    `counts` holds the number of steps in each nonzero residue class, in order
+    of first appearance, and `coefficients` is `residue_coefficients(modulus,
+    counts)`, the table the law was inverted from.
+    """
 
     modulus: int
     probs: np.ndarray
+    counts: dict
+    coefficients: np.ndarray
 
 
 @dataclass
@@ -246,15 +259,42 @@ def convolve(a: ExactPMF, b: ExactPMF) -> ExactPMF:
     """Law of the sum of two independent float-mode integer PMFs."""
     if a.exact or b.exact:
         raise ConfigurationError("convolve takes float-mode PMFs, not rational ones")
-    acc: dict[int, float] = {}
-    for v, p in zip(a.support, a.weights):
-        for w, q in zip(b.support, b.weights):
-            key = int(v) + int(w)
-            acc[key] = acc.get(key, 0) + p * q
-    support = sorted(acc)
-    return ExactPMF(np.asarray(support, dtype=np.int64),
-                    np.asarray([acc[v] for v in support], dtype=np.float64),
-                    a.steps_applied + b.steps_applied)
+    support, weights = convolve_rows(a.support, a.weights, b.support, b.weights)
+    return ExactPMF(support, weights, a.steps_applied + b.steps_applied)
+
+
+def convolve_rows(a_support, a_weights, b_support, b_weights):
+    """(support, weights) of the law of A + B for each row pair of float weights.
+
+    Row i of `a_weights` is the law {a_support[j]: a_weights[i, j]}, and likewise
+    for B; a 1-D weight array is one law. Every sum of two atoms is a key, even
+    where zero weights pad a row. Each key adds its products p * q in ascending
+    order of A's atom, starting from 0, as a loop over the atom pairs would, so
+    zero-weight atoms change no sum: x + 0.0 is x.
+    """
+    sums = a_support[:, None] + b_support
+    support = np.unique(sums)
+    at = np.searchsorted(support, sums)
+    rows = np.broadcast_shapes(a_weights.shape[:-1], b_weights.shape[:-1])
+    weights = np.zeros(rows + (support.size,))
+    for i in range(a_support.size):
+        weights[..., at[i]] += a_weights[..., i, None] * b_weights
+    return support, weights
+
+
+def _window_masses(support, weights, r):
+    """The mass of the window [v, v + ceil(r) - 1] at each atom v of `support`,
+    for the law in each row of `weights` (its last axis runs along `support`)."""
+    if not 0 < r < math.inf:
+        raise DomainError("window width r must be positive and finite")
+    w = math.ceil(r)  # lattice points a half-open window (x, x+r] can capture
+    # no window need pass the last atom, so the int64 ends cannot overflow
+    reach = min(w - 1, int(support[-1] - support[0]))
+    ends = np.searchsorted(support, np.minimum(support, support[-1] - reach) + reach,
+                           side="right")
+    csum = np.zeros(weights.shape[:-1] + (support.size + 1,), dtype=weights.dtype)
+    np.cumsum(weights, axis=-1, out=csum[..., 1:])
+    return csum[..., ends] - csum[..., :-1]
 
 
 def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
@@ -262,19 +302,20 @@ def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
 
     For an integer-valued law and r = 1 this is the maximum point mass.
     """
-    if not 0 < r < math.inf:
-        raise DomainError("window width r must be positive and finite")
-    w = math.ceil(r)  # lattice points a half-open window (x, x+r] can capture
-    support = pmf.support
-    # no window need pass the last atom, so the int64 ends cannot overflow
-    reach = min(w - 1, int(support[-1] - support[0]))
-    ends = np.searchsorted(support, np.minimum(support, support[-1] - reach) + reach,
-                           side="right")
-    csum = np.concatenate(([0], np.cumsum(pmf.weights)))
-    masses = csum[ends] - csum[: support.size]
+    masses = _window_masses(pmf.support, pmf.weights, r)
     best_i = int(np.argmax(masses))  # the first maximum
     return ConcentrationQuery(r, pmf.value(masses[best_i]),
-                              float(int(support[best_i]) + (w - 1) - r))
+                              float(int(pmf.support[best_i]) + (math.ceil(r) - 1) - r))
+
+
+def concentration_rows(support, weights, r: float) -> np.ndarray:
+    """`concentration_q(...).result` of the law in each row of float `weights` on
+    one sorted `support`, bit for bit; zero weights may pad a row.
+
+    A window starting between atoms holds no more than the one starting at the
+    next atom, since cumulative sums of non-negative floats never decrease.
+    """
+    return _window_masses(support, weights, r).max(axis=-1)
 
 
 def q1_profile(steps) -> list[float]:
@@ -308,7 +349,8 @@ def modular_walk_pmf(steps, m: int) -> ModularPMF:
         raise DomainError("modulus m must be >= 2")
     counts = Counter(a % m for a in _as_int_steps(steps))
     del counts[0]
-    probs = np.fft.irfft(residue_coefficients(m, counts), m)
+    coefficients = residue_coefficients(m, counts)
+    probs = np.fft.irfft(coefficients, m)
     n = sum(counts.values())
     if n <= 50:
         probs = np.rint(probs * 2.0**n) / 2.0**n
@@ -319,7 +361,7 @@ def modular_walk_pmf(steps, m: int) -> ModularPMF:
             reach = (reach << r | reach >> (m - r) | reach << (m - r) | reach >> r) & full
     bits = np.frombuffer(reach.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
     probs[~np.unpackbits(bits, bitorder="little")[:m].astype(bool)] = 0.0
-    return ModularPMF(m, np.maximum(probs, 0.0))
+    return ModularPMF(m, np.maximum(probs, 0.0), counts, coefficients)
 
 
 def summary_moments(steps) -> SummaryMoments:
@@ -345,4 +387,12 @@ def abs_tail_prob(pmf: ExactPMF, t: float):
     """Two-sided tail mass P(|X| >= t)."""
     if t <= 0:
         return pmf.value(pmf.one)
-    return pmf.value(math.fsum(pmf.weights[np.abs(pmf.support) >= t]))
+    return pmf.value(abs_tail_rows(pmf.support, pmf.weights, t))
+
+
+def abs_tail_rows(support, weights, t: float) -> np.ndarray:
+    """P(|X| >= t) of one law, or of each row of a weight matrix on `support`,
+    every sum exactly rounded (`math.fsum`), so zero weights change none."""
+    kept = weights[..., np.abs(support) >= t]
+    sums = [math.fsum(row) for row in np.atleast_2d(kept).tolist()]
+    return np.array(sums).reshape(kept.shape[:-1])

@@ -114,37 +114,57 @@ def suite_paley_zygmund(seed: int = 20240801, max_n: int = 18, lists_per_n: int 
                         record=("min_mass", "bound_value"))
 
 
-def _random_pmf(rng, max_atoms=8, span=6):
-    size = int(rng.integers(1, max_atoms + 1))
-    values = rng.choice(np.arange(-span, span + 1), size=size, replace=False)
-    weights = rng.integers(1, 16, size=size).astype(float)
-    probs = weights / weights.sum()
-    return exact.pmf_from_atoms({int(v): float(p) for v, p in zip(values, probs)})
+def _random_laws(rng, count, max_atoms=8, span=6):
+    """`count` laws of 1..max_atoms distinct atoms in [-span, span] with weights
+    1..15, drawn one after another. Row i holds law i's probabilities on the
+    grid -span..span, zero off its atoms."""
+    grid = np.arange(-span, span + 1)
+    laws = np.zeros((count, grid.size))
+    for row in laws:
+        size = int(rng.integers(1, max_atoms + 1))
+        values = rng.choice(grid, size=size, replace=False)
+        row[values + span] = rng.integers(1, 16, size=size)
+    # the weights are small integers, so every row sum is exact
+    return grid, laws / laws.sum(axis=1, keepdims=True)
 
 
 def suite_combine_scales(seed: int = 20240801, cases: int = 300,
                          **_) -> VerifySuiteResult:
-    """Q_r(A+B) <= P(|A| >= s) + 3 Q_r(A) Q_s(B) on small independent PMFs, r < s."""
+    """Q_r(A+B) <= P(|A| >= s) + 3 Q_r(A) Q_s(B) on small independent PMFs, r < s.
+
+    Case i draws A then B; the laws lie as rows of two matrices on one grid. All
+    A + B come from one row convolution, each width's Q_r from one window scan
+    per matrix, and the right sides and comparisons from whole-array arithmetic,
+    each value bit for bit the one-law call's. Failures are listed case by case
+    in (r, s) order.
+    """
     rng = np.random.default_rng(seed)
     res = VerifySuiteResult("combine_scales", 0)
     rs, ss = (0.5, 1.0, 2.0), (2.0, 3.0, 5.0)
     grids = [(r, s) for r in rs for s in ss if r < s]
-    for _ in range(cases):
-        A = _random_pmf(rng)
-        B = _random_pmf(rng)
-        AB = exact.convolve(A, B)
-        # each query once per case; the grid pairs them up
-        q_ab = {r: exact.concentration_q(AB, r).result for r in rs}
-        q_a = {r: exact.concentration_q(A, r).result for r in rs}
-        q_b = {s: exact.concentration_q(B, s).result for s in ss}
-        tail_a = {s: exact.abs_tail_prob(A, s) for s in ss}
-        for r, s in grids:
-            lhs = q_ab[r]
-            rhs = bounds.combine_scales_rhs(q_a[r], q_b[s], tail_a[s])
-            res.cases_run += 1
-            if lhs > rhs + bounds.SATISFACTION_TOL:
-                res.failures.append(
-                    f"r={r} s={s} A={A.as_dict()} B={B.as_dict()}: {lhs} > {rhs}")
+    grid, laws = _random_laws(rng, 2 * cases)
+    A, B = laws[0::2], laws[1::2]
+    ab_support, AB = exact.convolve_rows(grid, A, grid, B)
+    # each query once per matrix and width; by_pair lays them out per (r, s)
+    q_ab = {r: exact.concentration_rows(ab_support, AB, r) for r in rs}
+    q_a = {r: exact.concentration_rows(grid, A, r) for r in rs}
+    q_b = {s: exact.concentration_rows(grid, B, s) for s in ss}
+    tail_a = {s: exact.abs_tail_rows(grid, A, s) for s in ss}
+
+    def by_pair(table, key):  # (cases, pairs) in grid order
+        return np.stack([table[pair[key]] for pair in grids], axis=-1)
+
+    lhs = by_pair(q_ab, 0)
+    rhs = bounds.combine_scales_rhs(by_pair(q_a, 0), by_pair(q_b, 1), by_pair(tail_a, 1))
+    res.cases_run = lhs.size
+    failing = lhs > rhs + bounds.SATISFACTION_TOL
+    values = grid.tolist()
+    for case in np.flatnonzero(failing.any(axis=1)).tolist():
+        a, b = ({v: p for v, p in zip(values, law.tolist()) if p} for law in (A[case], B[case]))
+        for (r, s), bad, left, right in zip(grids, failing[case], lhs[case].tolist(),
+                                            rhs[case].tolist()):
+            if bad:
+                res.failures.append(f"r={r} s={s} A={a} B={b}: {left} > {right}")
     return res
 
 

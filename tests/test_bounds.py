@@ -10,7 +10,7 @@ from rlab.bounds import (ExponentQuery, anti_exponent_f, branch_boundary,
                          combine_scales_rhs, cosine_product_bound, elo_bound,
                          hoeffding_tail, kochen_stone_ratio, local_clt_approx,
                          lower_anti_floor, make_report, modular_elo_bound,
-                         rademacher_point_mass, transience_partial_sum)
+                         rademacher_point_mass, run_check, transience_partial_sum)
 from rlab.errors import DomainError
 from rlab.exact import (abs_tail_prob, concentration_q, convolve, summary_moments,
                         tail_prob, walk_pmf)
@@ -21,6 +21,12 @@ class TestEloBound:
         assert elo_bound(1) == 0.5
         assert elo_bound(2) == 0.5
         assert elo_bound(4) == 0.375
+
+    def test_binomial_branch_is_the_rounded_rational(self):
+        for n in range(1, 1001):
+            for k in {0, n // 7, n // 3, n // 2, n - 1, n}:
+                want = float(Fraction(math.comb(n, k), 2**n))
+                assert rademacher_point_mass(n, 2 * k - n) == want
 
     def test_lgamma_crossover_continuity(self):
         exact = float(Fraction(math.comb(1002, 501), 2 ** 1002))
@@ -83,6 +89,24 @@ class TestCosineProduct:
         with pytest.raises(DomainError) as exc:
             cosine_product_bound(6, steps)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("steps", [
+        [5, 7, 9, 5, 3, 2], [1, 4, 3, 10], [1, 6], [1, 3, 0], [1, 0, 3], [5, 12, 0], []])
+    def test_modular_elo_check_names_the_same_step(self, steps):
+        with pytest.raises(DomainError) as want:
+            cosine_product_bound(6, steps)
+        with pytest.raises(DomainError) as got:
+            run_check("modular-elo", steps, m=6)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_modular_elo_cosine_bound_is_cosine_product_bound(self, n):
+        rng = np.random.default_rng(n)
+        for m in range(3, 65):
+            coprime = [b for b in range(1, 6 * m) if math.gcd(b, m) == 1]
+            steps = rng.choice(coprime, size=n).tolist()
+            rep = run_check("modular-elo", steps, m=m)
+            assert rep.params["cosine_bound"] == cosine_product_bound(m, steps)
 
     @given(st.integers(3, 32), st.integers(1, 12), st.data())
     def test_all_ones_maximises(self, m, n, data):

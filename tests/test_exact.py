@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
-from rlab.exact import (_lattice_law, abs_tail_prob, concentration_q, convolve,
-                        modular_walk_pmf, pmf_from_atoms, q1_profile, summary_moments,
-                        tail_prob, walk_pmf)
+from rlab.exact import (_lattice_law, abs_tail_prob, abs_tail_rows, concentration_q,
+                        concentration_rows, convolve, convolve_rows, modular_walk_pmf,
+                        pmf_from_atoms, q1_profile, summary_moments, tail_prob, walk_pmf)
 from conftest import enumerate_signed_sums
 
 step_lists = st.lists(st.integers(0, 12), min_size=1, max_size=12)
@@ -433,3 +433,79 @@ class TestPmfConstruction:
         want = walk_pmf([1, 2, 3])
         assert list(c.support) == list(want.support)
         assert list(c.probs) == pytest.approx(list(want.probs), abs=1e-12)
+
+
+def convolve_by_pairs(a, b):
+    """The reference convolution: one dict add per pair of atoms, A's atoms
+    ascending, then B's."""
+    acc = {}
+    for v, p in zip(a.support, a.weights):
+        for w, q in zip(b.support, b.weights):
+            key = int(v) + int(w)
+            acc[key] = acc.get(key, 0) + p * q
+    return sorted(acc), [acc[v] for v in sorted(acc)]
+
+
+def stacked_laws(rng, rows, support):
+    """`rows` float laws on `support`: some single-atom, the rest with random
+    atoms kept and the other slots zero."""
+    weights = np.zeros((rows, support.size))
+    for i, row in enumerate(weights):
+        size = 1 if i % 3 == 0 else int(rng.integers(1, support.size + 1))
+        keep = rng.choice(support.size, size=size, replace=False)
+        row[keep] = rng.integers(1, 50, size=size)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def one_law(support, row):
+    """The law of one stacked row with its zero-weight atoms dropped."""
+    return pmf_from_atoms({int(v): p for v, p in zip(support, row.tolist()) if p})
+
+
+class TestStackedRows:
+    """Rows of laws on one shared support answer bit for bit as one call per law,
+    zero-weight padding included."""
+
+    SUPPORTS = [np.arange(-6, 7), np.array([-40, -7, -3, 0, 1, 2, 9, 30, 31, 100])]
+    WIDTHS = (0.25, 0.5, 1, 1.5, 2, 2.7, 3, 5, 12.5, 1000)
+
+    @pytest.mark.parametrize("support", SUPPORTS, ids=["grid", "holed"])
+    def test_concentration_rows_equal_per_law_calls(self, support):
+        laws = stacked_laws(np.random.default_rng(3), 40, support)
+        for r in self.WIDTHS:
+            got = concentration_rows(support, laws, r).tolist()
+            want = [concentration_q(one_law(support, row), r).result for row in laws]
+            assert got == want
+            # the one-row case, padding kept in the support
+            assert [concentration_rows(support, row, r).item() for row in laws] == want
+
+    @pytest.mark.parametrize("support", SUPPORTS, ids=["grid", "holed"])
+    def test_abs_tail_rows_equal_per_law_calls(self, support):
+        laws = stacked_laws(np.random.default_rng(4), 40, support)
+        for t in (0.5, 1, 2, 3.5, 7, 50, 1000):
+            want = [abs_tail_prob(one_law(support, row), t) for row in laws]
+            assert abs_tail_rows(support, laws, t).tolist() == want
+
+    @pytest.mark.parametrize("a_support, b_support", [
+        (SUPPORTS[0], SUPPORTS[0]), (SUPPORTS[0], SUPPORTS[1]), (SUPPORTS[1], SUPPORTS[0])],
+        ids=["grid-grid", "grid-holed", "holed-grid"])
+    def test_convolve_rows_equal_per_law_calls(self, a_support, b_support):
+        rng = np.random.default_rng(5)
+        A, B = stacked_laws(rng, 30, a_support), stacked_laws(rng, 30, b_support)
+        support, rows = convolve_rows(a_support, A, b_support, B)
+        sums = (a_support[:, None] + b_support).ravel().tolist()
+        assert support.tolist() == sorted(set(sums))
+        for a, b, got in zip(A, B, rows):
+            law = convolve(one_law(a_support, a), one_law(b_support, b))
+            # every reached key holds the per-law weight, every other key 0.0
+            want = dict(zip(law.support.tolist(), law.weights.tolist()))
+            assert dict(zip(support.tolist(), got.tolist())) == {
+                v: want.get(v, 0.0) for v in support.tolist()}
+
+    @given(st.dictionaries(st.integers(-50, 50), st.integers(1, 99), min_size=1, max_size=12),
+           st.dictionaries(st.integers(-50, 50), st.integers(1, 99), min_size=1, max_size=12))
+    def test_convolve_equals_pairwise_loop(self, a_atoms, b_atoms):
+        a, b = (pmf_from_atoms({v: w / sum(atoms.values()) for v, w in atoms.items()})
+                for atoms in (a_atoms, b_atoms))
+        got = convolve(a, b)
+        assert (got.support.tolist(), got.weights.tolist()) == convolve_by_pairs(a, b)

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
-from rlab import bounds
-from rlab.errors import ConfigurationError
+from rlab import bounds, exact
+from rlab.errors import ConfigurationError, DomainError
 from rlab.verify import SUITES, run_suite
 
 
@@ -109,3 +110,56 @@ def test_combine_scales_failures_pinned(monkeypatch, seed, digest):
     assert res.failures[0].startswith("r=0.5 s=2.0 A={")
     assert "np." not in "".join(res.failures)
     assert hashlib.sha256("\n".join(res.failures).encode()).hexdigest() == digest
+
+
+def _random_pmf(rng, max_atoms=8, span=6):
+    size = int(rng.integers(1, max_atoms + 1))
+    values = rng.choice(np.arange(-span, span + 1), size=size, replace=False)
+    weights = rng.integers(1, 16, size=size).astype(float)
+    probs = weights / weights.sum()
+    return exact.pmf_from_atoms({int(v): float(p) for v, p in zip(values, probs)})
+
+
+def combine_scales_by_case(seed, cases):
+    """The reference suite: one law, query and comparison at a time."""
+    rng = np.random.default_rng(seed)
+    cases_run, failures = 0, []
+    rs, ss = (0.5, 1.0, 2.0), (2.0, 3.0, 5.0)
+    for _ in range(cases):
+        A = _random_pmf(rng)
+        B = _random_pmf(rng)
+        AB = exact.convolve(A, B)
+        for r in rs:
+            for s in ss:
+                if r < s:
+                    lhs = exact.concentration_q(AB, r).result
+                    rhs = bounds.combine_scales_rhs(exact.concentration_q(A, r).result,
+                                                    exact.concentration_q(B, s).result,
+                                                    exact.abs_tail_prob(A, s))
+                    cases_run += 1
+                    if lhs > rhs + bounds.SATISFACTION_TOL:
+                        failures.append(
+                            f"r={r} s={s} A={A.as_dict()} B={B.as_dict()}: {lhs} > {rhs}")
+    return cases_run, failures
+
+
+@pytest.mark.parametrize("tol", [bounds.SATISFACTION_TOL, -10.0], ids=["tol", "all_fail"])
+@pytest.mark.parametrize("seed,cases", [
+    (0, 1), (1, 1), (2, 2), (3, 7), (4, 60), (5, 60), (20240801, 300)])
+def test_combine_scales_equals_case_by_case(monkeypatch, tol, seed, cases):
+    monkeypatch.setattr(bounds, "SATISFACTION_TOL", tol)
+    res = run_suite("combine_scales", seed=seed, cases=cases)
+    assert (res.cases_run, res.failures) == combine_scales_by_case(seed, cases)
+    assert res.cases_run == 8 * cases
+    if tol < 0:
+        assert len(res.failures) == res.cases_run
+
+
+def test_combine_scales_range_error_equals_case_by_case():
+    # at seed 38 one Q_s(B) sums to 1 + 2**-52, outside [0, 1]; both raise on it
+    with pytest.raises(DomainError) as want:
+        combine_scales_by_case(38, 300)
+    with pytest.raises(DomainError) as got:
+        run_suite("combine_scales", seed=38, cases=300)
+    assert str(got.value) == str(want.value) == (
+        "qs_b must lie in [0, 1], got 1.0000000000000002")
