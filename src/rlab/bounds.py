@@ -13,6 +13,9 @@ from . import exact
 from .errors import DomainError
 
 SATISFACTION_TOL = 1e-12
+# how far a probability summed in floats may stray outside [0, 1]; fixed here,
+# so that lowering SATISFACTION_TOL to fail every check rejects no input
+_PROBABILITY_SLACK = SATISFACTION_TOL
 # Above this n, central binomial masses switch from exact rationals to log-gamma.
 _EXACT_BINOMIAL_LIMIT = 1000
 
@@ -52,12 +55,19 @@ def make_report(bound_name: str, params: dict, bound_value: float,
     `floor`, reach it. bound_value is the side that must be the larger."""
     if compared_value is None:
         return BoundReport(bound_name, params, float(bound_value))
-    if floor:
-        bound_value, compared_value = compared_value, bound_value
-    satisfied = compared_value <= bound_value + SATISFACTION_TOL
+    bound_value, compared_value, satisfied = judge(bound_value, compared_value, floor)
     return BoundReport(bound_name, params, float(bound_value),
                        float(compared_value), bool(satisfied),
                        float(bound_value) - float(compared_value))
+
+
+def judge(bound, quantity, floor: bool = False):
+    """(bound_value, compared_value, satisfied) of a bound and the quantity it
+    pairs with, floats or arrays holding one case per element. A `floor` swaps
+    the sides, so that bound_value is always the side that must be the larger."""
+    if floor:
+        bound, quantity = quantity, bound
+    return bound, quantity, quantity <= bound + SATISFACTION_TOL
 
 
 @dataclass
@@ -229,14 +239,16 @@ def combine_scales_rhs(qr_a, qs_b, tail_a_at_s):
     """Right side of the two-scale combination: P(|A| >= s) + 3 Q_r(A) Q_s(B).
 
     Takes floats, or float arrays of one shape holding one case per element.
-    Raises for the first case, in C order, with an input outside [0, 1]. May
-    exceed 1; callers clamp for reporting.
+    Raises for the first case, in C order, with an input outside [0, 1] by more
+    than rounding (_PROBABILITY_SLACK): a window's float masses can sum to
+    1 + 2**-52. May exceed 1; callers clamp for reporting.
     """
+    low, high = -_PROBABILITY_SLACK, 1.0 + _PROBABILITY_SLACK
     values = np.broadcast_arrays(qr_a, qs_b, tail_a_at_s)
-    if not all(np.all((0.0 <= v) & (v <= 1.0)) for v in values):
+    if not all(np.all((low <= v) & (v <= high)) for v in values):
         for case in zip(*(v.ravel().tolist() for v in values)):
             for name, v in zip(("qr_a", "qs_b", "tail_a_at_s"), case):
-                if not 0.0 <= v <= 1.0:
+                if not low <= v <= high:
                     raise DomainError(f"{name} must lie in [0, 1], got {v}")
     return tail_a_at_s + 3.0 * qr_a * qs_b
 
@@ -275,12 +287,45 @@ def transience_partial_sum(q1_values, C: float) -> list[float]:
 # dominate, read from the step list's law. They call exact.* and this module's
 # bounds by name at call time, so wrappers set on those attributes see them.
 
-def _elo(steps, pmf):
-    c = min(steps)
-    if c <= 0:
+@dataclass
+class WalkRows:
+    """The walk laws of step lists as rows of `weights` on one `support`, with
+    each list's length n, least step c, sum of squares and l2 norm, one array
+    entry per row."""
+
+    support: np.ndarray
+    weights: np.ndarray
+    n: np.ndarray
+    c: np.ndarray
+    variance: np.ndarray
+    l2: np.ndarray
+
+
+def walk_rows(step_lists, laws=None) -> WalkRows:
+    """WalkRows of `step_lists`; `laws` = (support, weights) if already built,
+    else `exact.walk_pmf_rows(step_lists)`."""
+    support, weights = exact.walk_pmf_rows(step_lists) if laws is None else laws
+    moments = [exact.summary_moments(steps) for steps in step_lists]
+    return WalkRows(support, weights, np.array([len(steps) for steps in step_lists]),
+                    np.array([min(steps, default=0) for steps in step_lists]),
+                    np.array([m.variance for m in moments]),
+                    np.array([m.l2_norm for m in moments]))
+
+
+def _per_row(bound, values) -> np.ndarray:
+    """bound(v) for each row's value v, one call per distinct value in row order."""
+    values = values.tolist()
+    table = {v: bound(v) for v in dict.fromkeys(values)}
+    return np.array([table[v] for v in values], dtype=float)
+
+
+# The walk pairings take WalkRows and return (bound, exact quantity) per row.
+
+def _elo(rows):
+    if np.any(rows.c <= 0):
         raise DomainError("elo check requires strictly positive steps")
-    return ({"n": len(steps), "c": c}, elo_bound(len(steps)),
-            float(exact.concentration_q(pmf, 2 * c).result))
+    return (_per_row(elo_bound, rows.n),
+            exact.concentration_rows(rows.support, rows.weights, 2 * rows.c))
 
 
 def _modular_elo(steps, law, m):
@@ -295,48 +340,62 @@ def _modular_elo(steps, law, m):
             modular_elo_bound(m, len(steps)), float(law.probs.max()))
 
 
-def _lower_anti(steps, pmf):
-    variance = exact.summary_moments(steps).variance
-    floor = lower_anti_floor(variance)
-    q1 = float(exact.concentration_q(pmf, 1.0).result)
-    return ({"n": len(steps), "variance": float(variance), "floor": floor, "q1": q1},
-            floor, q1)
+def _lower_anti(rows):
+    return (_per_row(lower_anti_floor, rows.variance),
+            exact.concentration_rows(rows.support, rows.weights, 1.0))
 
 
-def _hoeffding(steps, pmf, t):
-    l2 = exact.summary_moments(steps).l2_norm
-    return ({"n": len(steps), "t": t, "l2_norm": l2}, hoeffding_tail(l2, t),
-            float(exact.tail_prob(pmf, t * l2)))
+def _hoeffding(rows, t):
+    return (_per_row(lambda l2: hoeffding_tail(l2, t), rows.l2),
+            exact.tail_rows(rows.support, rows.weights, t * rows.l2))
 
 
-def _paley_zygmund(steps, pmf):
-    l2 = exact.summary_moments(steps).l2_norm
-    return ({"n": len(steps), "l2_norm": l2}, 3.0 / 16.0,
-            float(exact.abs_tail_prob(pmf, l2 / 2.0)))
+def _paley_zygmund(rows):
+    # l2 / 2 is 0 only for steps all 0, whose law is 1.0 at 0
+    return (np.full(rows.n.shape, 3.0 / 16.0),
+            exact.abs_tail_rows(rows.support, rows.weights, rows.l2 / 2.0))
 
 
 # check -> (its law: "walk", or "residue" mod m; the parameters it reads; its
-# pairing -> (report params, bound, exact quantity); whether the bound is a
-# floor the quantity must reach, not a ceiling it must stay under)
+# pairing; whether the bound is a floor the quantity must reach, not a ceiling
+# it must stay under; the report params of a walk check, read from its row, its
+# parameters and, as "floor" and "q1", its bound and quantity). A residue
+# pairing takes (steps, law, **params) and returns (report params, bound,
+# quantity).
 CHECKS = {
     # Q_{2c} <= binom(n, n//2) / 2**n when every step is at least c
-    "elo": ("walk", (), _elo, False),
+    "elo": ("walk", (), _elo, False, ("n", "c")),
     # max_r P(X = r mod m) <= (1 or 2)/m + sqrt(2/(pi n)) for steps coprime to m
-    "modular-elo": ("residue", ("m",), _modular_elo, False),
+    "modular-elo": ("residue", ("m",), _modular_elo, False, None),
     # Q_1 >= 3 / (16 ceil(sqrt(Var X)))
-    "lower-anti": ("walk", (), _lower_anti, True),
+    "lower-anti": ("walk", (), _lower_anti, True, ("n", "variance", "floor", "q1")),
     # P(X >= t ||a||_2) <= exp(-t**2 / 2)
-    "hoeffding": ("walk", ("t",), _hoeffding, False),
+    "hoeffding": ("walk", ("t",), _hoeffding, False, ("n", "t", "l2_norm")),
     # P(|X| >= ||a||_2 / 2) >= 3/16
-    "paley-zygmund": ("walk", (), _paley_zygmund, True),
+    "paley-zygmund": ("walk", (), _paley_zygmund, True, ("n", "l2_norm")),
 }
+
+
+def check_rows(name: str, rows: WalkRows, **params):
+    """(bound_value, compared_value, satisfied) arrays of walk check `name` on
+    every row of `rows`, each element as `run_check` reports it for that list."""
+    _, _, pair, floor, _ = CHECKS[name]
+    return judge(*pair(rows, **params), floor)
 
 
 def run_check(name: str, steps, law=None, **params) -> BoundReport:
     """Report check `name` on `steps` with the CLI parameters it reads, taking
-    its exact quantity from `law`, the check's law of `steps` (built when None)."""
-    kind, _, pair, floor = CHECKS[name]
+    its exact quantity from `law`, the check's float law of `steps` (built when
+    None). A walk check runs its pairing on one row."""
+    kind, _, pair, floor, fields = CHECKS[name]
+    if kind == "residue":
+        if law is None:
+            law = exact.modular_walk_pmf(steps, params["m"])
+        return make_report(name, *pair(steps, law, **params), floor)
     if law is None:
-        law = exact.walk_pmf(steps) if kind == "walk" else exact.modular_walk_pmf(
-            steps, params["m"])
-    return make_report(name, *pair(steps, law, **params), floor)
+        law = exact.walk_pmf(steps)
+    rows = walk_rows([steps], (law.support, law.weights[None]))
+    bound, quantity = (side.item() for side in pair(rows, **params))
+    values = {"n": rows.n.item(), "c": rows.c.item(), "variance": float(rows.variance.item()),
+              "l2_norm": rows.l2.item(), "floor": bound, "q1": quantity, **params}
+    return make_report(name, {key: values[key] for key in fields}, bound, quantity, floor)

@@ -1,6 +1,6 @@
 """Exact laws of signed sums of integer steps, on Z and on Z/mZ.
 
-The walk law is built one step at a time by a single lattice kernel. After
+A walk law is built one step at a time by a single lattice kernel. After
 steps summing to S the position lies on the lattice -S + 2g*Z, g being the gcd
 of the nonzero steps, so a step a adds the law to a copy of itself shifted by
 a/g lattice slots. While at least DENSE_FILL of the window [-S, S] is reached
@@ -17,10 +17,18 @@ of counts is at most 2**40, so `math.fsum` and `cumsum` give it exactly, and
 one Fraction is built per answer. Support values are int64 in both modes, so
 the steps must sum to less than 2**62.
 
-The window scan of `concentration_q`, the tail sum of `abs_tail_prob` and the
-pairwise sum of `convolve` each run on weights with a leading row axis: the
-`*_rows` functions answer a stack of float laws on one shared support in one
-set of array passes, bit for bit as one call per law would.
+Many short step lists have a row kernel, `walk_pmf_rows`: their float laws
+are the rows of one matrix on the integer grid [-S, S], each step position one
+gather of every row shifted by its own step. It matches `walk_pmf` bit for bit
+because each atom gets the same two halved operands, h(v + a) and h(v - a), in
+the same step order; float addition is commutative, and adding 0.0 for an
+unreached operand is exact.
+
+The window scan of `concentration_q`, the tail sums of `tail_prob` and
+`abs_tail_prob` and the pairwise sum of `convolve` each run on weights with a
+leading row axis: the `*_rows` functions answer a stack of float laws on one
+shared support in one set of array passes, bit for bit as one call per law
+would, with one window width or tail threshold per row if asked.
 
 The law on Z/mZ depends only on the number of steps in each nonzero residue
 class: `residue_coefficients` gives its Fourier coefficients, which
@@ -36,6 +44,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -241,6 +250,57 @@ def _lattice_law(int_steps, limit, exact=False, on_step=None):
     return slots * (2 * g) - total, weights
 
 
+def walk_pmf_rows(step_lists):
+    """(grid, weights): the float law of each step list as a row of `weights` on
+    the integer grid [-S, S], S the largest step total. Row i is
+    `walk_pmf(step_lists[i])` scattered onto the grid, bit for bit, 0.0 elsewhere.
+
+    Zero steps are dropped, as `walk_pmf` skips them, and the rows are walked
+    longest first, so the rows a step position moves are a leading block. A row
+    holds slot k for the value 2k - P, P its steps so far, so a step a leaves
+    h(x + a) in slot k and brings h(x - a) from slot k - a: each step halves the
+    block's reached slots and adds one gather, through flat indices, of every
+    row shifted by its own step. An atom thus gets the same two halved operands
+    as in `walk_pmf`; float addition is commutative and adding 0.0 for an
+    unreached one is exact. Raises InfeasibleError when the rows would hold
+    more grid atoms than the cap.
+    """
+    lists = step_lists
+    values = list(chain.from_iterable(lists))
+    if set(map(type, values)) - {int} or min(values, default=0) < 0:
+        lists = [_as_int_steps(steps) for steps in lists]
+        values = list(chain.from_iterable(lists))
+    sums = list(map(sum, lists))
+    total = max(sums, default=0)
+    width, limit, count = 2 * total + 1, support_cap(), len(lists)
+    if count * width > limit:
+        raise InfeasibleError(f"{count} laws on a grid of {width} values exceed cap {limit}")
+    moves = [[a for a in steps if a] for steps in lists]
+    order = sorted(range(count), key=lambda i: -len(moves[i]))  # longest first
+    steps = np.zeros((count, max(map(len, moves), default=0)), dtype=np.int64)
+    for row, i in enumerate(order):
+        steps[row, :len(moves[i])] = moves[i]
+    reach = np.cumsum(steps, axis=1)
+    moved = steps > 0
+    # per step position: the rows it moves, and their largest reach before and after
+    active = np.count_nonzero(moved, axis=0).tolist()
+    before = np.where(moved, reach - steps, 0).max(axis=0, initial=0).tolist()
+    after = np.where(moved, reach, 0).max(axis=0, initial=0).tolist()
+    pad = max(values, default=0)  # slots below 0, read as zeros
+    weights = np.zeros((count, pad + total + 1))
+    weights[:, pad] = 1.0
+    cells = weights.reshape(-1)
+    at = np.arange(0, cells.size, weights.shape[1])[:, None] + np.arange(pad, pad + total + 1)
+    for j, (k, lo, hi) in enumerate(zip(active, before, after)):
+        weights[:k, pad:pad + lo + 1] *= 0.5
+        weights[:k, pad:pad + hi + 1] += cells.take(at[:k, :hi + 1] - steps[:k, j, None])
+    out = np.zeros((count, width))
+    for slots, i in zip(weights[:, pad:], order):
+        # slot k holds the value 2k - sums[i]
+        out[i, total - sums[i]:total + sums[i] + 1:2] = slots[:sums[i] + 1]
+    return np.arange(-total, total + 1), out
+
+
 def pmf_from_atoms(atoms: dict) -> ExactPMF:
     """Build a float-mode PMF from a value -> probability mapping (must sum to 1
     within 1e-9)."""
@@ -308,14 +368,22 @@ def concentration_q(pmf: ExactPMF, r: float) -> ConcentrationQuery:
                               float(int(pmf.support[best_i]) + (math.ceil(r) - 1) - r))
 
 
-def concentration_rows(support, weights, r: float) -> np.ndarray:
+def concentration_rows(support, weights, r) -> np.ndarray:
     """`concentration_q(...).result` of the law in each row of float `weights` on
-    one sorted `support`, bit for bit; zero weights may pad a row.
+    one sorted `support`, bit for bit; zero weights may pad a row. `r` is one
+    width, or an array of one width per row of a weight matrix.
 
     A window starting between atoms holds no more than the one starting at the
     next atom, since cumulative sums of non-negative floats never decrease.
     """
-    return _window_masses(support, weights, r).max(axis=-1)
+    if np.ndim(r) == 0:
+        return _window_masses(support, weights, r).max(axis=-1)
+    out = np.empty(weights.shape[:-1])
+    widths, row_width = np.unique(r, return_inverse=True)
+    for i, width in enumerate(widths.tolist()):
+        rows = row_width == i
+        out[rows] = _window_masses(support, weights[rows], width).max(axis=-1)
+    return out
 
 
 def q1_profile(steps) -> list[float]:
@@ -379,8 +447,13 @@ def summary_moments(steps) -> SummaryMoments:
 
 def tail_prob(pmf: ExactPMF, t: float):
     """Right-tail mass P(X >= t)."""
-    idx = int(np.searchsorted(pmf.support, t, side="left"))
-    return pmf.value(math.fsum(pmf.weights[idx:]))
+    return pmf.value(tail_rows(pmf.support, pmf.weights, t))
+
+
+def tail_rows(support, weights, t) -> np.ndarray:
+    """P(X >= t) of one law, or of each row of a weight matrix on `support`; `t`
+    may hold one threshold per row. Every sum is exactly rounded."""
+    return _row_fsums(weights, support >= np.asarray(t)[..., None])
 
 
 def abs_tail_prob(pmf: ExactPMF, t: float):
@@ -390,9 +463,17 @@ def abs_tail_prob(pmf: ExactPMF, t: float):
     return pmf.value(abs_tail_rows(pmf.support, pmf.weights, t))
 
 
-def abs_tail_rows(support, weights, t: float) -> np.ndarray:
-    """P(|X| >= t) of one law, or of each row of a weight matrix on `support`,
-    every sum exactly rounded (`math.fsum`), so zero weights change none."""
-    kept = weights[..., np.abs(support) >= t]
-    sums = [math.fsum(row) for row in np.atleast_2d(kept).tolist()]
-    return np.array(sums).reshape(kept.shape[:-1])
+def abs_tail_rows(support, weights, t) -> np.ndarray:
+    """P(|X| >= t) of one law, or of each row of a weight matrix on `support`; `t`
+    may hold one threshold per row. Every sum is exactly rounded."""
+    return _row_fsums(weights, np.abs(support) >= np.asarray(t)[..., None])
+
+
+def _row_fsums(weights, keep):
+    """`math.fsum` of each row's weights where `keep` holds. Zero weights are
+    left out, which changes no exactly rounded sum."""
+    keep = keep & (weights != 0)
+    kept = weights[keep].tolist()
+    ends = np.cumsum(np.count_nonzero(keep.reshape(-1, keep.shape[-1]), axis=1)).tolist()
+    sums = [math.fsum(kept[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return np.array(sums).reshape(weights.shape[:-1])

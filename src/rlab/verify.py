@@ -33,28 +33,27 @@ def _random_steps(rng, n, low=1, high=30):
 
 
 def _check_suite(check, seed, max_n, lists_per_n, grid=({},), record=None):
-    """Run `bounds.run_check(check, ...)` with each parameter set of `grid` on
-    `lists_per_n` random step lists of each length 1..max_n, building each
-    list's law once. `record` = (constant, report field) keeps the field's
-    smallest value as an empirical constant."""
+    """Run walk check `check` with each parameter set of `grid` on `lists_per_n`
+    random step lists of each length 1..max_n. The lists' laws are rows of one
+    matrix and each parameter set is one `bounds.check_rows` call over all of
+    them; failures are listed list by list, in grid order. `record` =
+    (constant, "slack" or "bound_value") keeps that report field's smallest
+    value as an empirical constant."""
     rng = np.random.default_rng(seed)
-    res = VerifySuiteResult(check.replace("-", "_"), 0)
-    worst = math.inf
-    for n in range(1, max_n + 1):
-        for _ in range(lists_per_n):
-            steps = _random_steps(rng, n)
-            law = exact.walk_pmf(steps)
-            for params in grid:
-                rep = bounds.run_check(check, steps, law, **params)
-                res.cases_run += 1
-                if record:
-                    worst = min(worst, getattr(rep, record[1]))
-                if not rep.satisfied:
-                    res.failures.append(
-                        f"n={n} {params} steps={steps}: {check} needs "
-                        f"{rep.compared_value} <= {rep.bound_value}")
+    lists = [_random_steps(rng, n) for n in range(1, max_n + 1) for _ in range(lists_per_n)]
+    rows = bounds.walk_rows(lists)
+    shape = (len(lists), len(grid))
+    bound, compared, satisfied = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    for j, params in enumerate(grid):
+        bound[:, j], compared[:, j], satisfied[:, j] = bounds.check_rows(check, rows, **params)
+    res = VerifySuiteResult(check.replace("-", "_"), bound.size)
     if record:
-        res.empirical_constants[record[0]] = worst
+        field = bound - compared if record[1] == "slack" else bound
+        res.empirical_constants[record[0]] = float(field.min(initial=math.inf))
+    for i, j in np.argwhere(~satisfied).tolist():
+        res.failures.append(
+            f"n={len(lists[i])} {grid[j]} steps={lists[i]}: {check} needs "
+            f"{compared[i, j].item()} <= {bound[i, j].item()}")
     return res
 
 
@@ -169,9 +168,14 @@ def suite_combine_scales(seed: int = 20240801, cases: int = 300,
 
 
 def suite_prefix(seed: int = 20240801, cases: int = 200, **_) -> VerifySuiteResult:
-    """Changing the first m steps moves Q_r by at most a factor 2^(m+1)."""
+    """Changing the first m steps moves Q_r by at most a factor 2^(m+1).
+
+    Case i draws its steps, the altered prefix and r; its two laws are rows 2i
+    and 2i + 1 of one matrix, every Q_r comes from one row query with a width
+    per row, and the factor test is whole-array arithmetic.
+    """
     rng = np.random.default_rng(seed)
-    res = VerifySuiteResult("prefix", 0)
+    lists, ms, rs = [], [], []
     for _ in range(cases):
         n = int(rng.integers(7, 13))
         m = int(rng.integers(1, 7))
@@ -179,15 +183,19 @@ def suite_prefix(seed: int = 20240801, cases: int = 200, **_) -> VerifySuiteResu
         altered = list(steps)
         for i in range(m):
             altered[i] = int(rng.integers(0, 11))
-        r = float(rng.choice([1.0, 2.0]))
-        q = exact.concentration_q(exact.walk_pmf(steps), r).result
-        q_alt = exact.concentration_q(exact.walk_pmf(altered), r).result
-        factor = 2.0 ** (m + 1)
-        res.cases_run += 1
-        tol = bounds.SATISFACTION_TOL
-        if not (q_alt / factor - tol <= q <= q_alt * factor + tol):
-            res.failures.append(
-                f"m={m} r={r} steps={steps} altered={altered}: {q} vs {q_alt}")
+        lists += [steps, altered]
+        ms.append(m)
+        rs.append(float(rng.choice([1.0, 2.0])))
+    grid, laws = exact.walk_pmf_rows(lists)
+    qs = exact.concentration_rows(grid, laws, np.repeat(rs, 2))
+    q, q_alt = qs[0::2], qs[1::2]
+    factor = 2.0 ** (np.array(ms) + 1)
+    tol = bounds.SATISFACTION_TOL
+    held = (q_alt / factor - tol <= q) & (q <= q_alt * factor + tol)
+    res = VerifySuiteResult("prefix", cases)
+    for i in np.flatnonzero(~held).tolist():
+        res.failures.append(f"m={ms[i]} r={rs[i]} steps={lists[2 * i]} "
+                            f"altered={lists[2 * i + 1]}: {q[i].item()} vs {q_alt[i].item()}")
     return res
 
 

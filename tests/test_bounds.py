@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rlab.bounds import (ExponentQuery, anti_exponent_f, branch_boundary,
+from rlab.bounds import (ExponentQuery, anti_exponent_f, branch_boundary, check_rows,
                          combine_scales_rhs, cosine_product_bound, elo_bound,
                          hoeffding_tail, kochen_stone_ratio, local_clt_approx,
                          lower_anti_floor, make_report, modular_elo_bound,
-                         rademacher_point_mass, run_check, transience_partial_sum)
+                         rademacher_point_mass, run_check, transience_partial_sum,
+                         walk_rows)
 from rlab.errors import DomainError
 from rlab.exact import (abs_tail_prob, concentration_q, convolve, summary_moments,
                         tail_prob, walk_pmf)
@@ -302,6 +303,23 @@ class TestTransiencePartialSum:
     def test_requires_sorted(self):
         with pytest.raises(DomainError):
             transience_partial_sum([(2, 0.1), (1, 0.2)], 0)
+
+
+class TestRunCheck:
+    def test_elo_on_no_steps_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="strictly positive steps"):
+            run_check("elo", [])
+
+    @pytest.mark.parametrize("name, params", [
+        ("elo", {}), ("lower-anti", {}), ("hoeffding", {"t": 1.5}), ("paley-zygmund", {})])
+    def test_one_row_of_check_rows(self, name, params):
+        # run_check reports, list by list, what check_rows finds for a stack of lists
+        lists = [[1, 2, 3], [5], [4, 4, 4, 4, 9], [30] * 7]
+        bound, compared, satisfied = check_rows(name, walk_rows(lists), **params)
+        reps = [run_check(name, steps, **params) for steps in lists]
+        assert bound.tolist() == [rep.bound_value for rep in reps]
+        assert compared.tolist() == [rep.compared_value for rep in reps]
+        assert satisfied.tolist() == [rep.satisfied for rep in reps]
 
 
 class TestBoundReport:

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.exact import (_lattice_law, abs_tail_prob, abs_tail_rows, concentration_q,
                         concentration_rows, convolve, convolve_rows, modular_walk_pmf,
-                        pmf_from_atoms, q1_profile, summary_moments, tail_prob, walk_pmf)
+                        pmf_from_atoms, q1_profile, summary_moments, tail_prob, tail_rows,
+                        walk_pmf, walk_pmf_rows)
 from conftest import enumerate_signed_sums
 
 step_lists = st.lists(st.integers(0, 12), min_size=1, max_size=12)
@@ -509,3 +510,93 @@ class TestStackedRows:
                 for atoms in (a_atoms, b_atoms))
         got = convolve(a, b)
         assert (got.support.tolist(), got.weights.tolist()) == convolve_by_pairs(a, b)
+
+    def test_concentration_rows_take_one_width_per_row(self):
+        support = self.SUPPORTS[1]
+        laws = stacked_laws(np.random.default_rng(6), 40, support)
+        widths = np.array([self.WIDTHS[i % len(self.WIDTHS)] for i in range(40)])
+        want = [concentration_q(one_law(support, row), r).result
+                for row, r in zip(laws, widths.tolist())]
+        assert concentration_rows(support, laws, widths).tolist() == want
+        assert concentration_rows(support, laws[:0], widths[:0]).shape == (0,)
+        with pytest.raises(DomainError):
+            concentration_rows(support, laws, np.where(widths > 3, 0.0, widths))
+
+    @pytest.mark.parametrize("support", SUPPORTS, ids=["grid", "holed"])
+    def test_tails_take_one_threshold_per_row(self, support):
+        laws = stacked_laws(np.random.default_rng(7), 40, support)
+        ts = np.linspace(-3.0, 60.0, 40)
+        rows = [one_law(support, row) for row in laws]
+        assert tail_rows(support, laws, ts).tolist() == [
+            tail_prob(law, t) for law, t in zip(rows, ts.tolist())]
+        # a threshold at or below 0 keeps every atom of the two-sided tail
+        assert abs_tail_rows(support, laws, ts).tolist() == [
+            math.fsum(law.weights) if t <= 0 else abs_tail_prob(law, t)
+            for law, t in zip(rows, ts.tolist())]
+        for t in (-1.0, 0.5, 3, 1000):
+            assert tail_rows(support, laws, t).tolist() == [tail_prob(law, t) for law in rows]
+
+
+# step lists for the row kernel: zero steps, lists of every length from empty,
+# and steps sharing a large gcd, whose laws leave holes in the grid
+row_step_lists = st.lists(
+    st.tuples(st.sampled_from([1, 2, 7, 64]),
+              st.lists(st.one_of(st.just(0), st.integers(0, 12)), max_size=14))
+    .map(lambda scaled: [scaled[0] * a for a in scaled[1]]),
+    max_size=12)
+
+
+def scattered(steps, grid):
+    """walk_pmf(steps) on `grid`, 0.0 off its atoms."""
+    law = walk_pmf(steps)
+    row = np.zeros(grid.size)
+    row[law.support - grid[0]] = law.weights
+    return row
+
+
+class TestWalkPmfRows:
+    """Each row of walk_pmf_rows is walk_pmf of its list on the grid, bit for bit."""
+
+    def assert_rows_match(self, lists):
+        grid, rows = walk_pmf_rows(lists)
+        total = max((sum(steps) for steps in lists), default=0)
+        assert grid.tolist() == list(range(-total, total + 1))
+        assert rows.shape == (len(lists), grid.size)
+        for steps, row in zip(lists, rows):
+            assert row.tobytes() == scattered(steps, grid).tobytes(), steps
+
+    @given(row_step_lists)
+    def test_rows_equal_walk_pmf(self, lists):
+        self.assert_rows_match(lists)
+
+    @pytest.mark.parametrize("lists", [
+        [], [[]], [[0, 0, 0]], [[0], [5]], [[5]], [[3], [1, 2, 3, 4], [], [0, 7, 0]],
+        [[64, 128, 0, 64], [1]], [[1] * 60, [30] * 3], [POWERS_OF_THREE[:6], [1, 2]],
+    ], ids=["no_lists", "empty", "all_zero", "zero_and_single", "single", "mixed_lengths",
+            "holed", "long", "powers_of_three"])
+    def test_edge_lists(self, lists):
+        self.assert_rows_match(lists)
+
+    def test_accepts_integral_values_and_rejects_others(self):
+        grid, rows = walk_pmf_rows([[np.int64(2), 3.0, True]])
+        assert rows[0].tobytes() == scattered([2, 3, 1], grid).tobytes()
+        for bad, text in (([1, 1.5], "step 2 is not an integer"), ([2, -1], "step 2 is negative")):
+            with pytest.raises(DomainError, match=text):
+                walk_pmf_rows([[1], bad])
+
+    def test_support_cap(self, monkeypatch):
+        monkeypatch.setenv("RLAB_SUPPORT_CAP", "5")
+        # walk_pmf raises at this cap, and so do the rows
+        with pytest.raises(InfeasibleError):
+            walk_pmf([1, 10, 100])
+        with pytest.raises(InfeasibleError, match="exceed cap 5"):
+            walk_pmf_rows([[1], [1, 10, 100]])
+        # the cap bounds the whole matrix: two 3-value rows hold 6 atoms
+        monkeypatch.setenv("RLAB_SUPPORT_CAP", "6")
+        walk_pmf_rows([[1], [1]])
+        with pytest.raises(InfeasibleError, match="3 laws on a grid of 3 values exceed cap 6"):
+            walk_pmf_rows([[1], [1], [0]])
+
+    def test_huge_steps_hit_the_cap(self):
+        with pytest.raises(InfeasibleError):
+            walk_pmf_rows([[10**30, 3 * 10**30]])

@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -68,32 +68,122 @@ def test_default_seed_results_pinned(name, cases_run, constants):
         cases_run, [], constants)
 
 
+def check_suite_by_case(check, seed, max_n, lists_per_n, grid=({},), record=None):
+    """The reference walk-check suite: one law and one `bounds.run_check` per
+    case. Returns (cases_run, failures, constants) and each case's (steps,
+    params, report)."""
+    rng = np.random.default_rng(seed)
+    cases, failures = [], []
+    worst = math.inf
+    for n in range(1, max_n + 1):
+        for _ in range(lists_per_n):
+            steps = rng.integers(1, 31, size=n).tolist()
+            law = exact.walk_pmf(steps)
+            for params in grid:
+                rep = bounds.run_check(check, steps, law, **params)
+                cases.append((steps, params, rep))
+                if record:
+                    worst = min(worst, getattr(rep, record[1]))
+                if not rep.satisfied:
+                    failures.append(
+                        f"n={n} {params} steps={steps}: {check} needs "
+                        f"{rep.compared_value} <= {rep.bound_value}")
+    return (len(cases), failures, {record[0]: worst} if record else {}), cases
+
+
+def prefix_by_case(seed=20240801, cases=200):
+    """The reference prefix suite: two laws and two window scans per case.
+    Returns (cases_run, failures, constants) and each case's (m, r, steps,
+    altered, q, q_alt)."""
+    rng = np.random.default_rng(seed)
+    seen, failures = [], []
+    for _ in range(cases):
+        n = int(rng.integers(7, 13))
+        m = int(rng.integers(1, 7))
+        steps = rng.integers(0, 11, size=n).tolist()
+        altered = list(steps)
+        for i in range(m):
+            altered[i] = int(rng.integers(0, 11))
+        r = float(rng.choice([1.0, 2.0]))
+        q = exact.concentration_q(exact.walk_pmf(steps), r).result
+        q_alt = exact.concentration_q(exact.walk_pmf(altered), r).result
+        factor = 2.0 ** (m + 1)
+        seen.append((m, r, steps, altered, q, q_alt))
+        tol = bounds.SATISFACTION_TOL
+        if not (q_alt / factor - tol <= q <= q_alt * factor + tol):
+            failures.append(f"m={m} r={r} steps={steps} altered={altered}: {q} vs {q_alt}")
+    return (len(seen), failures, {}), seen
+
+
+# each suite's case-by-case reference, with the suite's default knobs
+BY_CASE = {
+    "elo": lambda seed=20240801, max_n=18, lists_per_n=10: check_suite_by_case(
+        "elo", seed, max_n, lists_per_n, record=("min_slack", "slack")),
+    "hoeffding": lambda seed=20240801, max_n=18, lists_per_n=6,
+    t_grid=(0.0, 0.5, 1.0, 2.0, 3.0): check_suite_by_case(
+        "hoeffding", seed, max_n, lists_per_n, [{"t": t} for t in t_grid]),
+    "paley_zygmund": lambda seed=20240801, max_n=18, lists_per_n=6: check_suite_by_case(
+        "paley-zygmund", seed, max_n, lists_per_n, record=("min_mass", "bound_value")),
+    "prefix": prefix_by_case,
+}
+
+
+def outcome(res):
+    return res.cases_run, res.failures, res.empirical_constants
+
+
 @pytest.mark.parametrize("name,knobs,per_list", [
     ("elo", {"max_n": 4, "lists_per_n": 2}, 1),
     ("hoeffding", {"max_n": 4, "lists_per_n": 2, "t_grid": (0.5, 2.0)}, 2),
     ("paley_zygmund", {"max_n": 4, "lists_per_n": 2}, 1),
+    ("prefix", {"cases": 8}, 1),
 ])
 def test_failing_check_is_described(monkeypatch, name, knobs, per_list):
-    # the suites pass at every seed, so fail every case on purpose
-    real = bounds.run_check
-    seen = []
-
-    def failing(check, steps, law=None, **params):
-        rep = dataclasses.replace(real(check, steps, law, **params), satisfied=False)
-        seen.append((list(steps), rep))
-        return rep
-
-    monkeypatch.setattr(bounds, "run_check", failing)
+    # the suites pass at every seed, so a tolerance far below zero fails every case
+    monkeypatch.setattr(bounds, "SATISFACTION_TOL", -10.0)
     res = run_suite(name, **knobs)
-    cases = knobs["max_n"] * knobs["lists_per_n"] * per_list
+    want, seen = BY_CASE[name](**knobs)
+    assert outcome(res) == want
+    cases = knobs.get("cases") or knobs["max_n"] * knobs["lists_per_n"] * per_list
     assert res.cases_run == len(res.failures) == len(seen) == cases
     assert not res.ok
-    for text, (steps, rep) in zip(res.failures, seen):
+    if name == "prefix":
+        for text, (m, r, steps, altered, q, q_alt) in zip(res.failures, seen):
+            assert text.startswith(f"m={m} r={r} ")
+            assert f"steps={steps} altered={altered}" in text
+            assert text.endswith(f": {q} vs {q_alt}")
+        return
+    for text, (steps, params, rep) in zip(res.failures, seen):
         assert text.startswith(f"n={len(steps)} ")
         assert f"steps={steps}" in text
         assert str(rep.compared_value) in text and str(rep.bound_value) in text
         if name == "hoeffding":
             assert f"'t': {rep.params['t']}" in text
+
+
+@pytest.mark.parametrize("tol", [bounds.SATISFACTION_TOL, -10.0], ids=["tol", "all_fail"])
+@pytest.mark.parametrize("name", sorted(BY_CASE))
+def test_stacked_suites_equal_case_by_case_over_seeds(monkeypatch, name, tol):
+    monkeypatch.setattr(bounds, "SATISFACTION_TOL", tol)
+    for seed in range(60):
+        want, _ = BY_CASE[name](seed)
+        assert outcome(run_suite(name, seed=seed)) == want, seed
+        if tol < 0:
+            assert len(want[1]) == want[0]
+
+
+@pytest.mark.parametrize("tol", [bounds.SATISFACTION_TOL, -10.0], ids=["tol", "all_fail"])
+@pytest.mark.parametrize("name", sorted(BY_CASE))
+def test_stacked_suites_equal_case_by_case_over_knobs(monkeypatch, name, tol):
+    monkeypatch.setattr(bounds, "SATISFACTION_TOL", tol)
+    if name == "prefix":
+        grid = [{"cases": cases} for cases in (1, 2, 7, 200, 300)]
+    else:
+        grid = [{"max_n": max_n, "lists_per_n": per_n}
+                for max_n in (1, 2, 7, 18, 30) for per_n in (1, 10)]
+    for seed, knobs in enumerate(grid, 100):
+        want, _ = BY_CASE[name](seed, **knobs)
+        assert outcome(run_suite(name, seed=seed, **knobs)) == want, knobs
 
 
 # sha256 of the newline-joined failure texts, which hold plain float reprs
@@ -156,10 +246,27 @@ def test_combine_scales_equals_case_by_case(monkeypatch, tol, seed, cases):
 
 
 def test_combine_scales_range_error_equals_case_by_case():
-    # at seed 38 one Q_s(B) sums to 1 + 2**-52, outside [0, 1]; both raise on it
-    with pytest.raises(DomainError) as want:
-        combine_scales_by_case(38, 300)
-    with pytest.raises(DomainError) as got:
-        run_suite("combine_scales", seed=38, cases=300)
-    assert str(got.value) == str(want.value) == (
-        "qs_b must lie in [0, 1], got 1.0000000000000002")
+    # at seed 38 one Q_s(B) sums to 1 + 2**-52: float rounding, not a bad input
+    want = combine_scales_by_case(38, 300)
+    res = run_suite("combine_scales", seed=38, cases=300)
+    assert (res.cases_run, res.failures) == want == (2400, [])
+
+
+@pytest.mark.parametrize("inputs, text", [
+    ((0.5, 1.5, 0.0), "qs_b must lie in [0, 1], got 1.5"),
+    ((-0.1, 0.5, 0.0), "qr_a must lie in [0, 1], got -0.1"),
+    ((0.5, 0.5, 1.0 + 1e-9), "tail_a_at_s must lie in [0, 1], got 1.000000001"),
+])
+def test_combine_scales_rhs_rejects_out_of_range(monkeypatch, inputs, text):
+    for tol in (bounds.SATISFACTION_TOL, -10.0):  # the forced-failure tolerance too
+        monkeypatch.setattr(bounds, "SATISFACTION_TOL", tol)
+        with pytest.raises(DomainError) as got:
+            bounds.combine_scales_rhs(*inputs)
+        assert str(got.value) == text
+        # as one case of an array: the first bad input, in C order, names itself
+        arrays = [np.array([0.25, v]) for v in inputs]
+        with pytest.raises(DomainError) as got:
+            bounds.combine_scales_rhs(*arrays)
+        assert str(got.value) == text
+    # rounding past the ends is accepted
+    assert bounds.combine_scales_rhs(1.0 + 2**-52, 1.0, -2**-60) == 3.0 + 2**-52 * 3 - 2**-60
