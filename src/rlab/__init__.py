@@ -17,8 +17,7 @@ from .bounds import (BoundReport, ExponentQuery, anti_exponent_f,
                      branch_boundary, combine_scales_rhs, cosine_product_bound,
                      elo_bound, hoeffding_tail, kochen_stone_ratio,
                      local_clt_approx, lower_anti_floor, make_report,
-                     modular_elo_bound, rademacher_point_mass,
-                     transience_partial_sum)
+                     modular_elo_bound, rademacher_point_mass)
 from .mc import (CoupledPair, FitResult, McRunManifest, Q1Estimate,
                  RecurrenceStats, TwoDEmbedding, block_pair_trace, embed_2d,
                  estimate_interval_hits, estimate_q1, fit_exponent,

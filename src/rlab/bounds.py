@@ -267,22 +267,6 @@ def kochen_stone_ratio(mean: float, second_moment: float) -> float:
     return min(1.0, mean * mean / second_moment)
 
 
-def transience_partial_sum(q1_values, C: float) -> list[float]:
-    """Partial sums of (2C+1) * Q_1(X_n): the summability diagnostic series."""
-    if C < 0:
-        raise DomainError("C must be non-negative")
-    pairs = list(q1_values)
-    ns = [n for n, _ in pairs]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise DomainError("q1_values must be sorted by strictly increasing n")
-    out = []
-    acc = 0.0
-    for _, q1 in pairs:
-        acc += (2.0 * C + 1.0) * q1
-        out.append(acc)
-    return out
-
-
 # Each check pairs a bound of a step list with the exact quantity it must
 # dominate, read from the step list's law. They call exact.* and this module's
 # bounds by name at call time, so wrappers set on those attributes see them.

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, bounds, exact, mc, verify
 from .errors import ConfigurationError, DomainError, InfeasibleError
-from .numtext import float_list_text, float_text, int_list_text
+from .numtext import float_list_text, float_text
 from .sequences import (StepSequenceSpec, generate, parse_json_object,
                         read_input_text, read_sequence_file, sequence_text)
 
@@ -46,9 +46,13 @@ def _json_default(obj):
 # The JSON report writer below gives the bytes of
 # json.dumps(obj, indent=2, default=_json_default), which tests keep as its
 # oracle. json uses its C encoder only without `indent`, and its pure-Python
-# one walks every list item; this writer renders lists of one scalar type in
-# a single pass instead, long float and int lists with numpy (`numtext`).
+# one walks every list item; this writer hands each list of JSON scalars to
+# the C encoder in one call, with the indented item separator, and long float
+# lists to numpy (`numtext`), which renders them faster still.
 _quote = json.encoder.encode_basestring_ascii
+# exact types of JSON scalars: a list holding a numpy scalar goes item by
+# item, through _json_default
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 def _key_text(key) -> str:
@@ -86,14 +90,13 @@ def _write_json(obj, pad: str, out: list) -> None:
         inner = pad + "  "
         sep = ",\n" + inner
         out.append("[\n" + inner)
-        # exact types: bools and numpy.float64 items take the item-by-item path
         kinds = set(map(type, obj))
         if kinds == {float}:
             out.extend(float_list_text(obj, sep))
-        elif kinds == {int}:
-            out.extend(int_list_text(obj, sep))
-        elif kinds == {str}:
-            out.append(sep.join(map(_quote, obj)))
+        elif kinds <= _SCALARS:
+            # with indent None, json's C encoder: int.__repr__, float.__repr__
+            # and _quote, as the indent=2 encoder uses
+            out.append(json.JSONEncoder(separators=(sep, ": ")).encode(obj)[1:-1])
         else:
             for i, item in enumerate(obj):
                 if i:

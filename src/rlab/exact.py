@@ -458,8 +458,6 @@ def tail_rows(support, weights, t) -> np.ndarray:
 
 def abs_tail_prob(pmf: ExactPMF, t: float):
     """Two-sided tail mass P(|X| >= t)."""
-    if t <= 0:
-        return pmf.value(pmf.one)
     return pmf.value(abs_tail_rows(pmf.support, pmf.weights, t))
 
 
@@ -472,8 +470,8 @@ def abs_tail_rows(support, weights, t) -> np.ndarray:
 def _row_fsums(weights, keep):
     """`math.fsum` of each row's weights where `keep` holds. Zero weights are
     left out, which changes no exactly rounded sum."""
-    keep = keep & (weights != 0)
-    kept = weights[keep].tolist()
-    ends = np.cumsum(np.count_nonzero(keep.reshape(-1, keep.shape[-1]), axis=1)).tolist()
-    sums = [math.fsum(kept[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    width = weights.shape[-1]
+    keep = (keep & (weights != 0)).reshape(-1, width)
+    sums = [math.fsum(row[kept].tolist())
+            for row, kept in zip(weights.reshape(-1, width), keep)]
     return np.array(sums).reshape(weights.shape[:-1])

@@ -405,10 +405,10 @@ def _embed_blocks(manifest: McRunManifest, k: int, threads: int) -> tuple[int, i
     guard reads only those; the traces equal `block_pair_trace`'s.
     """
     start, end = recurrence_event_window(k)
-    steps = _steps_array(manifest, end)
     if end > manifest.horizon:
         raise ConfigurationError(
             f"horizon {manifest.horizon} does not reach block end {end}")
+    steps = _steps_array(manifest, end)
 
     def worker(signs):
         walk = np.multiply(signs, steps, dtype=steps.dtype)

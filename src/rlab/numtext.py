@@ -1,12 +1,12 @@
-"""JSON texts of long float and int lists, rendered with numpy.
+"""JSON texts of long float lists, rendered with numpy.
 
 A float's text is CPython's `repr`: the shortest decimal that reads back as
 the same double, and of those the nearest, ties to even. It is found with
 Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) in uint64
 arithmetic, with no bignums, so one pass of numpy calls renders every
-distinct value of a list. Ints that fit in int64 use the same digit table.
-Each value's text is cut from one row of bytes by a mask, and a list's rows
-are joined as bytes: no Python object is made per item.
+distinct value of a list. Each value's text is cut from one row of bytes by
+a mask, and a list's rows are joined as bytes: no Python object is made per
+item. Other lists of JSON scalars go to json's C encoder (`cli._write_json`).
 
 Every uint64 array meets only uint64 arrays and `np.uint64` scalars, and
 every int64 array only int64 arrays and Python ints, so that numpy's
@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 # Below this many items a list is cheaper item by item: the numpy path costs
-# about 150 calls whatever the list's length. Float and int lists of walk laws
-# both break even near 1,000 items.
+# about 150 calls whatever the list's length. Float lists of walk laws break
+# even near 1,000 items.
 BULK_MIN = 1024
 # Rows rendered per numpy pass. It bounds the temporaries to about 1 MB, so
 # that a long list peaks at less memory than its text did item by item.
@@ -63,65 +63,6 @@ def _digit_chars(u, width: int):
     chars = _QUADS.take(quads.reshape(2 * nl, -1)).T
     return np.ascontiguousarray(chars).view(np.uint8)[:, nl * 8 - width:]
 
-
-def _template(text: bytes, n: int, sep: bytes):
-    """n rows of `sep` + `text`, to be overwritten column by column."""
-    rows = np.empty((n, len(sep) + len(text)), np.uint8)
-    rows[:] = np.frombuffer(sep + text, np.uint8)
-    return rows
-
-
-def _masks(keep, sep: bytes):
-    """Each row of `keep` (columns of a text layout) after `sep`'s columns."""
-    return np.concatenate([np.ones((len(keep), len(sep)), bool), keep], axis=1)
-
-
-def _join(rows, keep) -> str:
-    """The kept bytes of `rows`, row by row, as text."""
-    return rows[keep].tobytes().decode("ascii")
-
-
-def _pieces(texts: list[str], sep: str) -> list[str]:
-    """Texts that each start with `sep`, less the first one's."""
-    texts[0] = texts[0][len(sep):]
-    return texts
-
-
-# ---------------------------------------------------------------------------
-# ints
-
-
-# layout (neg, n): the sign if negative, then the last n of 19 digits
-_INT_KEEP = np.array([[neg, *(np.arange(19) >= 19 - n)]
-                      for neg in (False, True) for n in range(1, 20)])
-
-
-def _int_text(v, sep: bytes) -> str:
-    """`sep` before each text of int64 values, joined."""
-    mag = np.abs(v).view(np.uint64)  # abs(-2**63) wraps to itself: 2**63 unsigned
-    n = np.searchsorted(_POW10[1:], mag, side="right") + 1
-    width = int(n.max())
-    rows = _template(b"-" + b"0" * width, len(v), sep)
-    rows[:, len(sep) + 1:] = _digit_chars(mag, width)
-    keep = _masks(_INT_KEEP[:, [0, *range(20 - width, 20)]], sep)
-    return _join(rows, keep[(v < 0) * 19 + n - 1])
-
-
-def int_list_text(items: list, sep: str) -> list[str]:
-    """`sep.join(map(int.__repr__, items))`, as consecutive pieces."""
-    if len(items) >= BULK_MIN:
-        try:
-            values = np.array(items, dtype=np.int64)
-        except OverflowError:  # an item past int64 keeps int.__repr__
-            pass
-        else:
-            return _pieces([_int_text(values[i:i + CHUNK], sep.encode("ascii"))
-                            for i in range(0, len(values), CHUNK)], sep)
-    return [sep.join(map(int.__repr__, items))]
-
-
-# ---------------------------------------------------------------------------
-# floats: Schubfach
 
 _K_MIN, _K_MAX = -324, 292
 
@@ -300,13 +241,15 @@ def float_list_text(items: list, sep: str) -> list[str]:
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
             texts[i] = float_text(values[i])
         return [sep.join(np.array(texts, dtype=object)[where].tolist())]
-    sep_b = sep.encode("ascii")
-    rows = _template(_FLOAT_TEMPLATE, len(bits), sep_b)
+    # one row per distinct value: `sep`, then the template, filled column by column
+    rows = np.empty((len(bits), len(sep) + len(_FLOAT_TEMPLATE)), np.uint8)
+    rows[:] = np.frombuffer(sep.encode("ascii") + _FLOAT_TEMPLATE, np.uint8)
     ids = np.empty(len(bits), np.int16)
     for i in range(0, len(bits), CHUNK):
         ids[i:i + CHUNK] = _float_fill(bits[i:i + CHUNK], rows[i:i + CHUNK, len(sep):])
     del bits  # the join needs only rows and ids: a lower peak of memory
-    keep = _masks(_FLOAT_KEEP, sep_b)
-    return _pieces([_join(rows[w], keep[ids[w]])
-                    for w in (where[i:i + CHUNK] for i in range(0, len(where), CHUNK))],
-                   sep)
+    keep = np.concatenate([np.ones((len(_FLOAT_KEEP), len(sep)), bool), _FLOAT_KEEP], axis=1)
+    texts = [rows[w][keep[ids[w]]].tobytes().decode("ascii")
+             for w in (where[i:i + CHUNK] for i in range(0, len(where), CHUNK))]
+    texts[0] = texts[0][len(sep):]
+    return texts

@@ -10,7 +10,7 @@ from rlab.bounds import (ExponentQuery, anti_exponent_f, branch_boundary, check_
                          combine_scales_rhs, cosine_product_bound, elo_bound,
                          hoeffding_tail, kochen_stone_ratio, local_clt_approx,
                          lower_anti_floor, make_report, modular_elo_bound,
-                         rademacher_point_mass, run_check, transience_partial_sum,
+                         rademacher_point_mass, run_check,
                          walk_rows)
 from rlab.errors import DomainError
 from rlab.exact import (abs_tail_prob, concentration_q, convolve, summary_moments,
@@ -282,27 +282,6 @@ class TestKochenStone:
     def test_inconsistent_moments(self):
         with pytest.raises(DomainError):
             kochen_stone_ratio(3.0, 1.0)
-
-
-class TestTransiencePartialSum:
-    def test_model_sequence(self):
-        sums = transience_partial_sum([(n, n ** -1.5) for n in range(1, 5)], 0)
-        assert sums == pytest.approx([1.0, 1.35355, 1.54600, 1.67100], abs=5e-6)
-
-    def test_empty(self):
-        assert transience_partial_sum([], 1.0) == []
-
-    def test_unit_walk_diverges_like_sqrt(self):
-        q1 = [(n, elo_bound(n)) for n in range(1, 2001)]
-        sums = transience_partial_sum(q1, 0)
-        # oracle: partial sums of sqrt(2/(pi n)) scale like 2 sqrt(2N/pi)
-        assert sums[499] / math.sqrt(500) == pytest.approx(1.50872, abs=1e-5)
-        assert sums[1999] / math.sqrt(2000) == pytest.approx(1.55165, abs=1e-5)
-        assert sums[1999] > 2.0 * sums[499]
-
-    def test_requires_sorted(self):
-        with pytest.raises(DomainError):
-            transience_partial_sum([(2, 0.1), (1, 0.2)], 0)
 
 
 class TestRunCheck:

@@ -530,6 +530,10 @@ class TestMc:
         ({"experiment": "q1_estimate", "params": {"n": 11}}, "n=11 outside 1..10"),
         ({"experiment": "embed2d", "params": {"k": 2}},
          "horizon 10 does not reach block end 170"),
+        # the block end is checked before the steps are read
+        ({"experiment": "embed2d", "params": {"k": 1}, "horizon": 3,
+          "spec": {"family": "custom", "custom_values": [2**62, 1, 1]}},
+         "horizon 3 does not reach block end 10"),
         ({"spec": {"family": "sqrt_block"}},
          "family 'sqrt_block' does not provide unbounded steps with vanishing gaps"),
         ({"spec": {"family": "power", "alpha": 0.5, "floor_values": True}},
@@ -541,7 +545,8 @@ class TestMc:
         ({"spec": {"family": "custom", "custom_values": [1, 2]}},
          "custom coupling sequence needs >= 3 values"),
     ], ids=["zero_replicates", "zero_horizon", "negative_C", "q1_past_horizon",
-            "embed2d_past_horizon", "coupling_sqrt_block", "coupling_floored_power",
+            "embed2d_past_horizon", "embed2d_huge_steps_past_horizon",
+            "coupling_sqrt_block", "coupling_floored_power",
             "coupling_power_1.5", "coupling_floored_log_power", "coupling_custom_2_values"])
     def test_out_of_range_run_exits_2(self, tmp_path, capsys, overrides, message):
         if "spec" in overrides:

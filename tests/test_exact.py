@@ -529,10 +529,8 @@ class TestStackedRows:
         rows = [one_law(support, row) for row in laws]
         assert tail_rows(support, laws, ts).tolist() == [
             tail_prob(law, t) for law, t in zip(rows, ts.tolist())]
-        # a threshold at or below 0 keeps every atom of the two-sided tail
         assert abs_tail_rows(support, laws, ts).tolist() == [
-            math.fsum(law.weights) if t <= 0 else abs_tail_prob(law, t)
-            for law, t in zip(rows, ts.tolist())]
+            abs_tail_prob(law, t) for law, t in zip(rows, ts.tolist())]
         for t in (-1.0, 0.5, 3, 1000):
             assert tail_rows(support, laws, t).tolist() == [tail_prob(law, t) for law in rows]
 

@@ -1,5 +1,6 @@
-"""The numpy list renderer against its oracles: float.__repr__, int.__repr__
-and json.dumps(indent=2), on lists on both sides of `BULK_MIN`."""
+"""Report lists against their oracles, on both sides of `BULK_MIN`: the numpy
+float renderer against float.__repr__, and the texts `emit_table` writes for
+float, int and mixed scalar lists against json.dumps(indent=2)."""
 
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import rlab.numtext
 from rlab.cli import _json_default, emit_table
-from rlab.numtext import BULK_MIN, CHUNK, float_list_text, int_list_text
+from rlab.numtext import BULK_MIN, CHUNK, float_list_text
 
 SEP = ",\n    "
 
@@ -41,7 +42,7 @@ FLOATS = st.one_of(st.sampled_from(SPECIALS), st.floats())
 
 
 def long_list(items):
-    """`items` repeated past BULK_MIN, so the list takes the numpy path."""
+    """`items` repeated past BULK_MIN, so that a float list takes the numpy path."""
     return items * (BULK_MIN // len(items) + 1)
 
 
@@ -91,37 +92,48 @@ class TestFloats:
 
 
 class TestInts:
-    INT64 = st.integers(-2**63, 2**63 - 1)
+    """Int lists go to json's C encoder, which has no int64 limit."""
+    INTS = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-2**70, 2**70))
 
-    @given(st.lists(INT64, min_size=1, max_size=60))
+    @given(st.lists(INTS, min_size=1, max_size=60))
     def test_long_lists_match_int_repr(self, items):
         values = long_list(items)
-        assert rendered(values, int_list_text) == list(map(int.__repr__, values))
-
-    @given(st.lists(INT64, max_size=60))
-    def test_numpy_path_matches_json_dumps_at_any_length(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rlab.numtext, "BULK_MIN", 0)
-            assert matches_json_dumps(values)
+        assert len(values) >= BULK_MIN
+        assert matches_json_dumps(values)
 
     def test_int64_extremes_and_chunks(self):
         rng = np.random.default_rng(5)
         values = ([-2**63, 2**63 - 1, 0, -1, 9, 10, -10**18, 10**18]
-                  + rng.integers(-2**63, 2**63 - 1, size=2 * CHUNK).tolist()
+                  + rng.integers(-2**63, 2**63 - 1, size=3 * CHUNK).tolist()
                   + list(range(-999, 1000)))
-        assert rendered(values, int_list_text) == list(map(int.__repr__, values))
         assert matches_json_dumps(values)
 
     @pytest.mark.parametrize("big", [2**63, -2**63 - 1, 10**40])
     def test_value_past_int64_keeps_int_repr(self, big):
         values = long_list([-2**63, 2**63 - 1, 7]) + [big]
-        assert rendered(values, int_list_text) == list(map(int.__repr__, values))
+        assert matches_json_dumps(values)
+        assert matches_json_dumps(values[:BULK_MIN - 2] + [big])
+
+
+class TestMixedScalars:
+    SCALARS = st.one_of(st.integers(-2**70, 2**70), FLOATS, st.booleans(), st.none(),
+                        st.text(max_size=4))
+
+    @given(st.lists(SCALARS, min_size=1, max_size=60))
+    def test_long_lists_match_json_dumps(self, items):
+        values = long_list(items)
+        assert len(values) >= BULK_MIN
+        assert matches_json_dumps(values)
+
+    def test_ints_floats_bools_and_none(self):
+        rng = np.random.default_rng(11)
+        values = [[-2**63, 2**64, 0.1, -0.0, math.inf, True, False, None][i]
+                  for i in rng.integers(0, 8, size=2 * BULK_MIN).tolist()]
         assert matches_json_dumps(values)
 
 
 class TestThreshold:
-    @pytest.mark.parametrize("render, spy, item", [
-        (float_list_text, "_float_fill", 0.25), (int_list_text, "_int_text", 3)])
+    @pytest.mark.parametrize("render, spy, item", [(float_list_text, "_float_fill", 0.25)])
     def test_lists_from_bulk_min_take_the_numpy_path(self, monkeypatch, render, spy,
                                                      item):
         calls = []
