@@ -58,6 +58,8 @@ class McRunManifest:
             raise ConfigurationError("replicates must be >= 1")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if not 0 <= self.master_seed < 1 << 64:  # substream keys only 64 bits
+            raise ConfigurationError("master_seed must lie in [0, 2**64)")
 
     def to_dict(self) -> dict:
         return {
@@ -351,13 +353,21 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     return Q1Estimate(q1_hat, stderr, R, n, low_sample=R * q1_hat < 100.0)
 
 
+def _event_window(manifest: McRunManifest, k: int) -> tuple[int, int]:
+    """recurrence_event_window(k), which must end within the horizon. A k past
+    the horizon's bit length starts past it too: refused before 4^(2k) is built."""
+    if k > manifest.horizon.bit_length():
+        raise ConfigurationError(f"horizon {manifest.horizon} does not reach block {2 * k}")
+    start, end = recurrence_event_window(k)
+    if end > manifest.horizon:
+        raise ConfigurationError(f"horizon {manifest.horizon} does not reach block end {end}")
+    return start, end
+
+
 def block_pair_trace(manifest: McRunManifest, replicate: int, k: int,
                      steps=None) -> np.ndarray:
     """Positions of the paired walk Y_m = X_{2m} across the (2k)-th block."""
-    start, end = recurrence_event_window(k)
-    if end > manifest.horizon:
-        raise ConfigurationError(
-            f"horizon {manifest.horizon} does not reach block end {end}")
+    start, end = _event_window(manifest, k)
     trace = simulate_walk(manifest, replicate, steps=steps)
     return trace[start - 1:end + 1:2]
 
@@ -404,10 +414,7 @@ def _embed_blocks(manifest: McRunManifest, k: int, threads: int) -> tuple[int, i
     Each replicate walks only the steps up to the block end, so the 64-bit
     guard reads only those; the traces equal `block_pair_trace`'s.
     """
-    start, end = recurrence_event_window(k)
-    if end > manifest.horizon:
-        raise ConfigurationError(
-            f"horizon {manifest.horizon} does not reach block end {end}")
+    start, end = _event_window(manifest, k)
     steps = _steps_array(manifest, end)
 
     def worker(signs):
@@ -719,10 +726,10 @@ def _positive(value) -> int:
 
 
 def _real(value):
-    """`value` itself if it is an int or a finite float (a bool is neither)."""
+    """`value` itself if it is a finite int or float in the float range (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
-    if isinstance(value, float) and not math.isfinite(value):
+    if not math.isfinite(value):  # OverflowError for an int past the float range
         raise ValueError(value)
     return value
 
@@ -739,7 +746,7 @@ def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
                          lambda v: [(_integer(s), _integer(e)) for s, e in v])
         if windows is None:
             ks = _param(params, "block_ks", lambda v: [_integer(k) for k in v])
-            windows = [recurrence_event_window(k) for k in ks]
+            windows = [_event_window(manifest, k) for k in ks]
         # checked, not converted: an integer walk compares exactly against floor(C)
         C = _param(params, "C", _real, 0.0)
         stats = estimate_interval_hits(manifest, C, windows, threads=threads)

@@ -12,10 +12,10 @@ power           a_n = n**alpha (optionally floored)
 log_power       a_n = ln(n)**alpha (optionally floored; a_1 = 0 is allowed)
 sqrt_block      consecutive blocks, the k-th of length 4**k / 2, alternating
                 2**k + 1 and 2**k - 1 (starting high); a_n = Theta(sqrt(n))
-fast_block      blocks of even length alternating r+1 and r, where the block
-                length is calibrated so a planar simple random walk covers
-                the origin-column segment reachable so far, and r clears the
-                tabulated growth function
+fast_block      blocks of pairs (r+1, r): one pair, then 2 (T+1)^4 pairs for T
+                the sum of the earlier steps, so that each block returns the
+                walk to 0 with probability >= 1/70 (fast_block_pairs); r
+                clears the tabulated growth function at the block's end
 fast_increasing strictly increasing reals: blocks x_j + c_1, ..., x_j + c_m
                 with c_1 = 0 and c_{m+1} - c_m = m^{-3/2}/sqrt(1 + ln m)
 sparse_values   constant blocks of the odd squares p_i = (2i+1)**2 with
@@ -40,13 +40,6 @@ import numpy as np
 from mpmath.libmp import from_int, mpi_exp, mpi_sqrt, round_floor, to_int
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
-from .streams import substream, wilson_interval
-
-# The cover-time calibration for fast_block runs on its own fixed stream so
-# generated prefixes are reproducible and prefix-stable.
-COVER_CALIBRATION_SEED = 0x5EB10C4A
-COVER_CALIBRATION_REPLICATES = 240
-COVER_CALIBRATION_STEP_BUDGET = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,6 @@ class StepSequenceSpec:
     alpha: float | None = None
     floor_values: bool = False
     growth_fn: tuple[float, ...] | None = None
-    cover_confidence: float = 0.5
     custom_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -76,7 +68,6 @@ class StepSequenceSpec:
                 raise ConfigurationError(f"{self.family} does not read spec.{f.name}")
         if self.alpha is not None:
             _require_number(self.alpha, "alpha")
-        _require_number(self.cover_confidence, "cover_confidence")
         _require(isinstance(self.floor_values, bool),
                  f"sequence spec floor_values must be true or false, "
                  f"not {self.floor_values!r}")
@@ -86,8 +77,6 @@ class StepSequenceSpec:
         if self.custom_values is not None:
             object.__setattr__(self, "custom_values",
                                _number_tuple(self.custom_values, "custom_values"))
-        if not 0.0 < self.cover_confidence < 1.0:
-            raise ConfigurationError("cover_confidence must lie in (0, 1)")
 
     def to_dict(self) -> dict:
         out = {"family": self.family}
@@ -257,64 +246,43 @@ def _sqrt_block_prefix(spec, n):
     return out[:n]
 
 
-def _cover_probability(span: int, length: int, replicates: int,
-                       rng: np.random.Generator) -> tuple[int, int]:
-    """Hit count for a planar SSRW covering {(0, y): |y| <= span} within `length` steps."""
-    need = 2 * span + 1
-    hits = 0
-    for _ in range(replicates):
-        dirs = rng.integers(0, 4, size=length)
-        dx = (dirs == 0).astype(np.int64) - (dirs == 1)
-        dy = (dirs == 2).astype(np.int64) - (dirs == 3)
-        x = np.cumsum(dx)
-        y = np.cumsum(dy)
-        seen = set(np.unique(y[(x == 0) & (np.abs(y) <= span)]).tolist())
-        seen.add(0)  # the walk starts on the segment
-        if len(seen) == need:
-            hits += 1
-    return hits, replicates
+def fast_block_pairs(span: int) -> int:
+    """Pairs (r+1, r) in the fast_block block after steps that sum to `span`:
+    1 for the first block, 2 (span+1)^4 for every later one.
 
-
-def _calibrate_cover_length(span: int, confidence: float, block_index: int) -> int:
-    """Smallest power-of-two horizon whose estimated cover probability clears `confidence`.
-
-    The estimate uses the Wilson lower bound on a fixed per-block stream;
-    the simulation budget caps total simulated steps.
+    Whatever r is, each later block puts the walk at 0 with conditional
+    probability >= 1/70, so by Levy's conditional Borel-Cantelli lemma the
+    walk is weakly recurrent for any growth function. Let T = span and h the
+    pair count. One pair moves the walk by +-(2r+1) or +-1, each with
+    probability 1/4, so at pair ends the walk is X + (2r+1) a + b for a
+    planar simple random walk (a, b) and the block's start X, |X| <= T;
+    visiting (0, -X) puts the walk at 0. By the strong Markov property at
+    the first visit, P(visit z within h steps) >= G_h(z) / G_h(0), where G_h
+    counts expected visits within h steps. a + b and a - b are independent
+    +-1 walks, so G_h((0, y)) = sum_{j<=h} P(S_j = y)^2. The bounds
+    4^i / sqrt(4i) <= C(2i, i) <= 4^i / sqrt(3i+1) and C(2i, i+k) >=
+    C(2i, i) (1 - k^2/i) give P(S_j = y)^2 >= 1/(64 i) for j = 2i + (|y| mod 2)
+    and i >= (|y|+1)^2 / 2, and G_h(0) <= 1 + (1 + ln(h/2)) / 3. At
+    h = 2 (T+1)^4 the ratio for every |y| <= T is therefore at least
+    3 ln((T+1)^4 / i_0) / (256 (1 + ln(T+1))) with i_0 = ceil((T+1)^2 / 2):
+    0.0144 > 1/70 at T = 1, rising with T towards 3/128. Exact sums put the
+    ratio near 0.39.
     """
-    if span == 0:
-        return 1
-    length = 64
-    spent = 0
-    attempt = 0
-    while True:
-        cost = length * COVER_CALIBRATION_REPLICATES
-        if spent + cost > COVER_CALIBRATION_STEP_BUDGET:
-            raise InfeasibleError(
-                f"fast_block cover-time calibration for block {block_index} "
-                f"exceeded its sample budget (span {span}, next horizon {length})")
-        rng = substream(COVER_CALIBRATION_SEED, (block_index << 20) | attempt)
-        hits, trials = _cover_probability(span, length, COVER_CALIBRATION_REPLICATES, rng)
-        spent += cost
-        lo, _ = wilson_interval(hits, trials)
-        if lo >= confidence:
-            return length
-        length *= 2
-        attempt += 1
+    return 1 if span == 0 else 2 * (span + 1) ** 4
 
 
 def _fast_block_prefix(spec, n):
     f = _Tabulated(spec.growth_fn)
     out: list[int] = []
     total = 0
-    k = 1
     while len(out) < n:
-        half = _calibrate_cover_length(total, spec.cover_confidence, k)
-        r = max(0, math.ceil(f(len(out) + 2 * half)))
-        block = [r + 1 if i % 2 == 0 else r for i in range(2 * half)]
-        out.extend(block)
-        total += (2 * r + 1) * half
-        k += 1
-    return out[:n]
+        pairs = fast_block_pairs(total)
+        r = max(0, math.ceil(f(len(out) + 2 * pairs)))
+        # from the third block on a block is far longer than any prefix
+        length = min(2 * pairs, n - len(out))
+        out.extend([r + 1, r] * (length // 2) + [r + 1] * (length % 2))
+        total += (2 * r + 1) * pairs
+    return out
 
 
 def _fast_increasing_prefix(spec, n):
@@ -409,7 +377,7 @@ FAMILIES = {
     "power": (_power_prefix, ("alpha", "floor_values")),
     "log_power": (_log_power_prefix, ("alpha", "floor_values")),
     "sqrt_block": (_sqrt_block_prefix, ()),
-    "fast_block": (_fast_block_prefix, ("growth_fn", "cover_confidence")),
+    "fast_block": (_fast_block_prefix, ("growth_fn",)),
     "fast_increasing": (_fast_increasing_prefix, ("growth_fn",)),
     "sparse_values": (_sparse_values_prefix, ("growth_fn",)),
     "geometric": (_geometric_prefix, ("growth_fn",)),

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,9 +54,8 @@ class TestGen:
         {"family": "power", "alpha": "x"},
         {"family": "power", "alpha": 1, "floor_values": "x"},
         {"family": "fast_block", "growth_fn": [1, "x"]},
-        {"family": "fast_block", "growth_fn": [1.0], "cover_confidence": "x"},
         {"family": "custom", "custom_values": "x"},
-    ], ids=["alpha", "floor_values", "growth_fn", "cover_confidence", "custom_values"])
+    ], ids=["alpha", "floor_values", "growth_fn", "custom_values"])
     def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -76,8 +78,6 @@ class TestGen:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("spec,message", [
-        ({"family": "fast_block", "growth_fn": [1.0], "cover_confidence": 1.5},
-         "cover_confidence must lie in (0, 1)"),
         ({"family": "fast_block", "growth_fn": [2.0, 1.0]},
          "growth_fn table must be non-decreasing"),
         ({"family": "geometric", "growth_fn": [0.5, 2.0]},
@@ -85,7 +85,7 @@ class TestGen:
         ({"family": "constant", "alpha": -1}, "constant family requires a non-negative level"),
         ({"family": "custom", "custom_values": [1, -2, 3]}, "custom step 2 is negative"),
         ({"family": "power"}, "power family requires alpha"),
-    ], ids=["cover_confidence", "growth_fn_decreasing", "geometric_below_1",
+    ], ids=["growth_fn_decreasing", "geometric_below_1",
             "constant_negative", "custom_negative", "power_without_alpha"])
     def test_out_of_range_spec_value_exits_2(self, tmp_path, capsys, spec, message):
         path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
@@ -94,6 +94,22 @@ class TestGen:
         err = capsys.readouterr().err
         assert f"rlab: error: {message}" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unknown_spec_key_exits_2(self, tmp_path, capsys):
+        # fast_block's block lengths are closed-form; it has no confidence knob
+        path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
+        path.write_text(json.dumps({"family": "fast_block", "growth_fn": [1.0],
+                                    "cover_confidence": 0.5}))
+        assert run("gen", "--spec", path, "--n", 3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "rlab: error: unknown sequence spec keys: ['cover_confidence']" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_fast_block_reaches_past_its_second_block(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": "fast_block", "growth_fn": [1, 2, 4, 8]}))
+        assert run("gen", "--spec", path, "--n", 100) == 0
+        assert capsys.readouterr().out.splitlines() == ["3", "2"] + ["9", "8"] * 49
 
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -512,10 +528,12 @@ class TestMc:
         ("interval_hits", {"windows": [[1, 4]], "block_ks": [1]}, "block_ks"),
         ("coupling", {"d": 1.0, "eps": 0.5}, "eps"),
         ("q1_estimate", {"n": 4, "replicates": 5}, "replicates"),
+        # an integer walk would compare against floor(C) exactly, but C is a number
+        ("interval_hits", {"C": 10**400, "windows": [[1, 4]]}, "C"),
     ], ids=["n", "C", "window_value", "windows_not_pairs", "block_ks", "epsilon",
             "n_fraction", "n_bool", "window_fraction", "k_fraction", "d_bool",
             "horizon_zero", "dps_zero", "windows_and_block_ks", "unknown_eps",
-            "unknown_replicates"])
+            "unknown_replicates", "C_past_float_range"])
     def test_malformed_param_exits_2(self, tmp_path, capsys, experiment, params, name):
         man = write_manifest(tmp_path, experiment=experiment, params=params)
         assert run("mc", "--manifest", man) == 2
@@ -526,6 +544,9 @@ class TestMc:
     @pytest.mark.parametrize("overrides,message", [
         ({"replicates": 0}, "replicates must be >= 1"),
         ({"horizon": 0}, "horizon must be >= 1"),
+        # substreams key the seed modulo 2^64: 2^64 + 1 would replay seed 1
+        ({"master_seed": 2**64 + 1}, "master_seed must lie in [0, 2**64)"),
+        ({"master_seed": -1}, "master_seed must lie in [0, 2**64)"),
         ({"params": {"C": -1, "windows": [[1, 4]]}}, "C must be non-negative"),
         ({"experiment": "q1_estimate", "params": {"n": 11}}, "n=11 outside 1..10"),
         ({"experiment": "embed2d", "params": {"k": 2}},
@@ -544,7 +565,7 @@ class TestMc:
          "floored log-power steps have integer gaps"),
         ({"spec": {"family": "custom", "custom_values": [1, 2]}},
          "custom coupling sequence needs >= 3 values"),
-    ], ids=["zero_replicates", "zero_horizon", "negative_C", "q1_past_horizon",
+    ], ids=["zero_replicates", "zero_horizon", "seed_past_2_64", "negative_seed", "negative_C", "q1_past_horizon",
             "embed2d_past_horizon", "embed2d_huge_steps_past_horizon",
             "coupling_sqrt_block", "coupling_floored_power",
             "coupling_power_1.5", "coupling_floored_log_power", "coupling_custom_2_values"])
@@ -565,7 +586,8 @@ class TestMc:
         ("coupling", {"epsilon": math.inf}, "epsilon"),
         ("coupling", {"d": math.nan}, "d"),
         ("coupling", {"d": -math.inf}, "d"),
-    ], ids=["C_nan", "C_inf", "epsilon_inf", "d_nan", "d_minus_inf"])
+        ("interval_hits", {"C": 10**400, "windows": [[1, 4]]}, "C"),
+    ], ids=["C_nan", "C_inf", "epsilon_inf", "d_nan", "d_minus_inf", "C_past_float_range"])
     def test_non_finite_param_exits_2(self, tmp_path, capsys, experiment, params, name):
         man = write_manifest(tmp_path, experiment=experiment, params=params,
                              spec={"family": "power", "alpha": 0.5})
@@ -574,6 +596,27 @@ class TestMc:
         err = capsys.readouterr().err
         assert f"malformed manifest params.{name}" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_the_range_run(self, tmp_path, seed):
+        man = write_manifest(tmp_path, master_seed=seed, replicates=20)
+        assert run("mc", "--manifest", man) == 0
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("embed2d", {"k": 2**63}),
+        ("interval_hits", {"C": 0, "block_ks": [1, 2**63]}),
+    ], ids=["embed2d_k", "block_ks"])
+    def test_huge_block_index_exits_2_at_once(self, tmp_path, experiment, params):
+        # block 2k ends near 4^(2k) / 6, a number this k cannot build; a child
+        # process with a timeout keeps a regression from hanging the suite
+        man = write_manifest(tmp_path, experiment=experiment, params=params)
+        src = str(Path(rlab.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "rlab.cli", "mc", "--manifest", str(man)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert f"rlab: error: horizon 10 does not reach block {2**64}" in proc.stderr
 
     def test_replayed_report_with_unread_spec_field_exits_2(self, tmp_path, capsys):
         # a report written before specs rejected the fields their family never reads

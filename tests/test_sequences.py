@@ -10,9 +10,9 @@ from rlab.cli import main
 from rlab.errors import ConfigurationError, DomainError, InfeasibleError
 from rlab.sequences import (_EXACT_COUNTS_TOP, FAMILIES, StepSequenceSpec,
                             _Tabulated, check_ints_conditions, check_sparse_conditions,
-                            generate, log_power_counts, log_power_ratio_bounds,
-                            log_power_ratio_window, read_sequence_file,
-                            recurrence_event_window, sqrt_block_start,
+                            fast_block_pairs, generate, log_power_counts,
+                            log_power_ratio_bounds, log_power_ratio_window,
+                            read_sequence_file, recurrence_event_window, sqrt_block_start,
                             sqrt_block_window, value_counts, write_sequence_file)
 
 
@@ -155,7 +155,7 @@ READS = {
     "power": ("alpha", "floor_values"),
     "log_power": ("alpha", "floor_values"),
     "sqrt_block": (),
-    "fast_block": ("growth_fn", "cover_confidence"),
+    "fast_block": ("growth_fn",),
     "fast_increasing": ("growth_fn",),
     "sparse_values": ("growth_fn",),
     "geometric": ("growth_fn",),
@@ -164,7 +164,7 @@ READS = {
 }
 # a value away from the default for every optional field
 OTHER_VALUES = {"alpha": 0.5, "floor_values": True, "growth_fn": [1.0, 2.0],
-                "cover_confidence": 0.25, "custom_values": [1, 2]}
+                "custom_values": [1, 2]}
 # one accepted spec per family, and its to_dict: the "spec" of an mc_manifest
 GOLDEN = {
     "power": ({"alpha": 0.5, "floor_values": True},
@@ -172,8 +172,7 @@ GOLDEN = {
     "log_power": ({"alpha": 2}, {"family": "log_power", "alpha": 2}),
     "sqrt_block": ({}, {"family": "sqrt_block"}),
     "fast_block": ({"growth_fn": [1, 2]},
-                   {"family": "fast_block", "growth_fn": [1.0, 2.0],
-                    "cover_confidence": 0.5}),
+                   {"family": "fast_block", "growth_fn": [1.0, 2.0]}),
     "fast_increasing": ({"growth_fn": [0]},
                         {"family": "fast_increasing", "growth_fn": [0.0]}),
     "sparse_values": ({}, {"family": "sparse_values"}),
@@ -213,12 +212,11 @@ class TestSpecFields:
         {"family": "fast_increasing", "growth_fn": [math.nan]},
         {"family": "custom", "custom_values": [1, math.nan]},
         {"family": "custom", "custom_values": [math.inf]},
-        {"family": "fast_block", "growth_fn": [1], "cover_confidence": math.nan},
         {"family": "power", "alpha": 10**400},
         {"family": "geometric", "growth_fn": [1, 10**400]},
         {"family": "custom", "custom_values": [1, 10**400]},
     ], ids=["alpha_nan", "alpha_inf", "level_minus_inf", "growth_fn_inf",
-            "growth_fn_nan", "custom_nan", "custom_inf", "cover_confidence_nan",
+            "growth_fn_nan", "custom_nan", "custom_inf",
             "alpha_past_float_range", "growth_fn_past_float_range",
             "custom_past_float_range"])
     def test_non_finite_number_rejected(self, tmp_path, capsys, data):
@@ -318,9 +316,22 @@ class TestSparseValues:
         assert all(v == 9 for v in a[2:999])
 
 
+def green_times_4h(h, y):
+    """4^h sum_{j<=h} P(S_j = y)^2 for a +-1 walk S, exactly: the expected
+    visits of a planar simple random walk to (0, y) within h steps, times 4^h."""
+    y = abs(y)
+    j, square, acc = y, 1, 0  # square = C(j, (j+y)/2)^2
+    while j <= h:
+        acc = (acc << 4) + square
+        k = (j + y) // 2
+        square = square * ((j + 1) * (j + 2)) ** 2 // ((k + 1) * (j - k + 1)) ** 2
+        j += 2
+    return acc << 2 * (h - (j - 2))
+
+
 class TestFastBlock:
-    def test_block_structure_at_low_confidence(self):
-        s = spec(family="fast_block", growth_fn=[1.0], cover_confidence=0.02)
+    def test_block_structure(self):
+        s = spec(family="fast_block", growth_fn=[1.0])
         a = generate(s, 40)
         assert a[:2] == [2, 1]
         # remaining entries alternate r+1, r in even-length blocks
@@ -333,17 +344,36 @@ class TestFastBlock:
 
     def test_growth_envelope(self):
         table = [0.5 * k for k in range(1, 200)]
-        s = spec(family="fast_block", growth_fn=table, cover_confidence=0.02)
+        s = spec(family="fast_block", growth_fn=table)
         a = generate(s, 10)
         for n, v in enumerate(a, 1):
             assert v >= min(table[n - 1], v + 1) - v or v >= table[n - 1] - 1  # r >= ceil(f(end))
         # direct check: every entry clears f at its own index
         assert all(v >= table[n - 1] for n, v in enumerate(a, 1))
 
-    def test_budget_exhaustion_names_block(self):
-        s = spec(family="fast_block", growth_fn=[1.0])  # default confidence 1/2
-        with pytest.raises(InfeasibleError, match="block 2"):
-            generate(s, 5)
+    def test_block_boundaries_at_closed_form_lengths(self):
+        # f(i) = i up to 6000: each block's r is f at the block's last index
+        assert fast_block_pairs(0) == 1 and fast_block_pairs(5) == 2 * 6 ** 4
+        s = spec(family="fast_block", growth_fn=list(range(1, 6001)))
+        a = generate(s, 5186 + 10)
+        assert a[:2] == [3, 2]  # one pair, r = f(2); the steps sum to 5
+        assert a[2:5186] == [5187, 5186] * 2592  # 2 * 6^4 pairs, r = f(5186)
+        assert a[5186:] == [6001, 6000] * 5  # block 3 is far longer
+
+    def test_certificate_on_exact_sums(self):
+        # a block after steps summing to T starts within T of 0, and reaches 0
+        # with probability >= G_h((0, y)) / G_h(0) for its start y: >= 1/70
+        for T in range(1, 9):
+            h = fast_block_pairs(T)
+            g0 = green_times_4h(h, 0)
+            assert all(70 * green_times_4h(h, y) >= g0 for y in range(T + 1)), T
+
+    def test_long_prefix_is_stable_across_block_ends(self):
+        s = spec(family="fast_block", growth_fn=[1, 2, 4, 8])
+        a = generate(s, 10 ** 5)
+        assert a[:4] == [3, 2, 9, 8] and a[-2:] == [9, 8]
+        for n in (1, 2, 3, 5185, 5186, 5187, 10 ** 5 - 1):
+            assert generate(s, n) == a[:n]
 
 
 class TestValueCounts:
