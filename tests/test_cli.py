@@ -50,18 +50,21 @@ class TestGen:
     def test_missing_spec_file(self, tmp_path):
         assert run("gen", "--spec", tmp_path / "nope.json", "--n", 3) == 2
 
-    @pytest.mark.parametrize("spec", [
-        {"family": "power", "alpha": "x"},
-        {"family": "power", "alpha": 1, "floor_values": "x"},
-        {"family": "fast_block", "growth_fn": [1, "x"]},
-        {"family": "custom", "custom_values": "x"},
-    ], ids=["alpha", "floor_values", "growth_fn", "custom_values"])
-    def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec):
+    # fast_block has no cover_confidence field: any value for it is an unknown key
+    @pytest.mark.parametrize("spec,named", [
+        ({"family": "power", "alpha": "x"}, "'x'"),
+        ({"family": "power", "alpha": 1, "floor_values": "x"}, "'x'"),
+        ({"family": "fast_block", "growth_fn": [1, "x"]}, "'x'"),
+        ({"family": "fast_block", "growth_fn": [1.0], "cover_confidence": "x"},
+         "unknown sequence spec keys: ['cover_confidence']"),
+        ({"family": "custom", "custom_values": "x"}, "'x'"),
+    ], ids=["alpha", "floor_values", "growth_fn", "cover_confidence", "custom_values"])
+    def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec, named):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert run("gen", "--spec", path, "--n", 3) == 2
         err = capsys.readouterr().err
-        assert "rlab: error:" in err and "'x'" in err and "Traceback" not in err
+        assert "rlab: error:" in err and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("spec", [
         {"family": "power", "alpha": 0.5},
@@ -78,6 +81,8 @@ class TestGen:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("spec,message", [
+        ({"family": "fast_block", "growth_fn": [1.0], "cover_confidence": 1.5},
+         "unknown sequence spec keys: ['cover_confidence']"),
         ({"family": "fast_block", "growth_fn": [2.0, 1.0]},
          "growth_fn table must be non-decreasing"),
         ({"family": "geometric", "growth_fn": [0.5, 2.0]},
@@ -85,7 +90,7 @@ class TestGen:
         ({"family": "constant", "alpha": -1}, "constant family requires a non-negative level"),
         ({"family": "custom", "custom_values": [1, -2, 3]}, "custom step 2 is negative"),
         ({"family": "power"}, "power family requires alpha"),
-    ], ids=["growth_fn_decreasing", "geometric_below_1",
+    ], ids=["cover_confidence", "growth_fn_decreasing", "geometric_below_1",
             "constant_negative", "custom_negative", "power_without_alpha"])
     def test_out_of_range_spec_value_exits_2(self, tmp_path, capsys, spec, message):
         path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
@@ -94,16 +99,6 @@ class TestGen:
         err = capsys.readouterr().err
         assert f"rlab: error: {message}" in err and "Traceback" not in err
         assert not out.exists()
-
-    def test_unknown_spec_key_exits_2(self, tmp_path, capsys):
-        # fast_block's block lengths are closed-form; it has no confidence knob
-        path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
-        path.write_text(json.dumps({"family": "fast_block", "growth_fn": [1.0],
-                                    "cover_confidence": 0.5}))
-        assert run("gen", "--spec", path, "--n", 3, "--out", out) == 2
-        err = capsys.readouterr().err
-        assert "rlab: error: unknown sequence spec keys: ['cover_confidence']" in err
-        assert "Traceback" not in err and not out.exists()
 
     def test_fast_block_reaches_past_its_second_block(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
