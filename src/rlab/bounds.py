@@ -131,6 +131,28 @@ def rademacher_point_mass(n: int, x: int) -> float:
                     - math.lgamma(n - k + 1) - n * math.log(2.0))
 
 
+def central_point_masses(n_max: int) -> np.ndarray:
+    """rademacher_point_mass(n, 0) for every even n in 2..n_max, bit for bit.
+
+    The central binomials come from the exact recurrence C(n, n/2) =
+    C(n-2, n/2-1) (n-1) n / (n/2)^2 and each is divided by 2**n as int / int;
+    above _EXACT_BINOMIAL_LIMIT the log-gamma branch takes the same operands in
+    the same order, with libm's `exp` and `lgamma` per element.
+    """
+    def binomials():
+        c = 1
+        for n in range(2, min(n_max, _EXACT_BINOMIAL_LIMIT) + 1, 2):
+            c = c * (n - 1) * n // (n // 2) ** 2
+            yield c / (1 << n)
+
+    ns = np.arange(_EXACT_BINOMIAL_LIMIT + 2, n_max + 1, 2)
+    half = np.fromiter(map(math.lgamma, (ns // 2 + 1).tolist()), float, ns.size)
+    logs = np.fromiter(map(math.lgamma, (ns + 1).tolist()), float, ns.size)
+    logs = logs - half - half - ns * math.log(2.0)
+    return np.concatenate([np.fromiter(binomials(), float),
+                           np.fromiter(map(math.exp, logs.tolist()), float, ns.size)])
+
+
 def elo_bound(n: int) -> float:
     """Central-binomial anti-concentration bound binom(n, n//2) * 2**-n."""
     if n < 1:

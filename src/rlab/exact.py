@@ -4,10 +4,13 @@ A walk law is built one step at a time by a single lattice kernel. After
 steps summing to S the position lies on the lattice -S + 2g*Z, g being the gcd
 of the nonzero steps, so a step a adds the law to a copy of itself shifted by
 a/g lattice slots. While at least DENSE_FILL of the window [-S, S] is reached
-and the window fits the atom cap, the law is a dense weight array with a reach
-mask and a step is two shifted slice-adds; otherwise it is the sorted array of
-reached slots and a step merges the two shifted copies. The form is chosen
-again at every step from the fill it will have.
+and the window fits the atom cap, the law is a dense weight array and a step is
+two shifted slice-adds; otherwise it is the sorted array of reached slots and a
+step merges the two shifted copies. The form is chosen again at every step from
+the fill it will have. A dense window keeps a reach mask only while some slot
+is unreached: a full window overlaps its shift by s slots in max(w - s, 0)
+slots and stays full after a step no longer than itself, so unit and
+lattice-filling steps never build one, and a refilled window drops its mask.
 
 Float mode halves the weights at every step. Rational mode (probabilities
 k / 2**n with exact integer numerators) runs the same kernel on int64 sign
@@ -187,16 +190,18 @@ def walk_pmf(steps, exact: bool = False) -> ExactPMF:
 def _lattice_law(int_steps, limit, exact=False, on_step=None):
     """The walk law as (support values, weights), built one step at a time.
 
-    Slot k holds the value 2*g*k - S. The dense form keeps a `reach` mask and
-    weights over the whole window, the sparse form the sorted reached `slots`
-    and their weights. In both, each atom's weight is 0 + h(v - a) + h(v + a),
-    h being the halved weights (float) or the sign counts (exact), and the
-    cap is checked on the projected atom count before weights are allocated.
-    `on_step` sees the weights after every step, zero steps included.
+    Slot k holds the value 2*g*k - S. The dense form keeps weights over the
+    whole window and, while some slot of it is unreached, a `reach` mask; a
+    full window keeps none (`reach` and `slots` both None). The sparse form
+    keeps the sorted reached `slots` and their weights. In every form each
+    atom's weight is 0 + h(v - a) + h(v + a), h being the halved weights
+    (float) or the sign counts (exact), and the cap is checked on the
+    projected atom count before weights are allocated. `on_step` sees the
+    weights after every step, zero steps included.
     """
     g = math.gcd(*int_steps) or 1
     total, count = 0, 1
-    reach, slots = np.ones(1, dtype=bool), None
+    reach, slots = None, None
     weights = np.ones(1, dtype=np.int64 if exact else np.float64)
     for idx, a in enumerate(int_steps, 1):
         if a:
@@ -205,34 +210,39 @@ def _lattice_law(int_steps, limit, exact=False, on_step=None):
                 raise InfeasibleError(
                     f"step {idx}: support values would overflow 64-bit integers")
             s, width = a // g, total // g + 1
-            if reach is not None:
-                overlap = np.count_nonzero(reach[s:] & reach[:max(reach.size - s, 0)])
-            else:
+            if slots is not None:
                 hi = slots + s
                 pos = np.minimum(np.searchsorted(slots, hi), slots.size - 1)
                 overlap = np.count_nonzero(slots[pos] == hi)
+            elif reach is not None:
+                overlap = np.count_nonzero(reach[s:] & reach[:max(reach.size - s, 0)])
+            else:  # a full window of width - s slots overlaps its shift by s
+                overlap = max(width - 2 * s, 0)
             count = 2 * count - int(overlap)
             if count > limit:
                 raise InfeasibleError(
                     f"step {idx}: projected support {count} exceeds cap {limit}")
             dense = width <= limit and count >= DENSE_FILL * width
-            if dense and reach is None:
+            if dense and slots is not None:
                 reach = np.zeros(width - s, dtype=bool)
                 reach[slots] = True
                 full = np.zeros(width - s, dtype=weights.dtype)
                 full[slots] = weights
-                weights = full
-            elif not dense and reach is not None:
-                slots = np.flatnonzero(reach)
+                weights, slots = full, None
+            elif not dense and slots is None:
+                slots = np.arange(width - s) if reach is None else np.flatnonzero(reach)
                 weights, reach = weights[slots], None
             if not exact:
                 weights *= 0.5
             if dense:
                 low, high, size = slice(0, width - s), slice(s, width), width
-                mask = np.zeros(width, dtype=bool)
-                mask[low] = reach
-                mask[high] |= reach
-                reach = mask
+                if count < width:  # a slot is unreached: keep the mask
+                    was = True if reach is None else reach
+                    reach = np.zeros(width, dtype=bool)
+                    reach[low] = was
+                    reach[high] |= was
+                else:
+                    reach = None
             else:
                 hi = slots + s
                 merged = np.union1d(slots, hi)
@@ -247,6 +257,8 @@ def _lattice_law(int_steps, limit, exact=False, on_step=None):
     if reach is not None:
         slots = np.flatnonzero(reach)
         weights = weights[slots]
+    elif slots is None:
+        slots = np.arange(weights.size)
     return slots * (2 * g) - total, weights
 
 

@@ -456,6 +456,9 @@ def fit_exponent(points) -> FitResult:
 
 _DEFAULT_COUPLING_HORIZON = 10**60
 _MAX_EPISODES = 10_000
+# mpmath digits a manifest may ask for: at 10^4 a power alpha = 0.25 game of
+# d 1, epsilon 0.1 takes 1.0-1.8 s (1-3 episodes); at 10^8 none ended in 60 s
+MAX_DPS = 10_000
 
 
 def _memoised(query):
@@ -725,6 +728,13 @@ def _positive(value) -> int:
     return value
 
 
+def _dps(value) -> int:
+    value = _positive(value)
+    if value > MAX_DPS:
+        raise ValueError(value)
+    return value
+
+
 def _real(value):
     """`value` itself if it is a finite int or float in the float range (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -772,7 +782,7 @@ def run_experiment(manifest: McRunManifest, threads: int = 1) -> dict:
         d = _param(params, "d", lambda v: float(_real(v)), 1.0)
         eps = _param(params, "epsilon", lambda v: float(_real(v)), 0.1)
         horizon = _param(params, "horizon", _positive)
-        dps = _param(params, "dps", _positive, 60)
+        dps = _param(params, "dps", _dps, 60)
         # one view for every game, so each a(n) and index search runs once per
         # run; none for epsilon <= 0, which simulate_coupling rejects first
         view = _SequenceView(manifest.spec, horizon) if eps > 0 else None

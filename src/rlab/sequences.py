@@ -31,6 +31,7 @@ import bisect
 import json
 import math
 import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -201,7 +202,14 @@ def _power_prefix(spec, n):
     alpha = spec.alpha
     if float(alpha).is_integer() and alpha >= 0:
         e = int(alpha)
+        # a sequence file reads integers of up to `digits` digits back; the
+        # float estimate keeps a longer n**e from being built
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        _require(e * math.log10(n) <= digits + 1 and n**e < 10**digits,
+                 f"power alpha {alpha!r}: step {n} has more than {digits} digits, "
+                 f"more than a sequence file reads back")
         return [k**e for k in range(1, n + 1)]
+    _float_power(float(n), alpha, "power", n)  # the n-th step is the largest for alpha > 0
     vals = [float(k) ** alpha for k in range(1, n + 1)]
     if spec.floor_values:
         return [int(math.floor(v)) for v in vals]
@@ -211,10 +219,20 @@ def _power_prefix(spec, n):
 def _log_power_prefix(spec, n):
     _require(spec.alpha is not None, "log_power family requires alpha")
     _require(spec.alpha > 0, "log_power requires alpha > 0")
+    _float_power(math.log(n), spec.alpha, "log_power", n)  # the n-th step is the largest
     vals = [math.log(k) ** spec.alpha for k in range(1, n + 1)]
     if spec.floor_values:
         return [int(math.floor(v)) for v in vals]
     return vals
+
+
+def _float_power(base: float, alpha, family: str, n: int) -> None:
+    """Check that step n, base ** alpha, lies in the float range."""
+    try:
+        base ** alpha
+    except OverflowError:
+        raise ConfigurationError(
+            f"{family} alpha {alpha!r}: step {n} is past the float range") from None
 
 
 def sqrt_block_start(k: int) -> int:

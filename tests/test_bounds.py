@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rlab.bounds import (ExponentQuery, anti_exponent_f, branch_boundary, check_rows,
-                         combine_scales_rhs, cosine_product_bound, elo_bound,
+from rlab.bounds import (ExponentQuery, anti_exponent_f, branch_boundary,
+                         central_point_masses, check_rows, combine_scales_rhs, cosine_product_bound, elo_bound,
                          hoeffding_tail, kochen_stone_ratio, local_clt_approx,
                          lower_anti_floor, make_report, modular_elo_bound,
                          rademacher_point_mass, run_check,
@@ -32,6 +32,14 @@ class TestEloBound:
     def test_lgamma_crossover_continuity(self):
         exact = float(Fraction(math.comb(1002, 501), 2 ** 1002))
         assert rademacher_point_mass(1002, 0) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 998, 1000, 1001, 1002, 1004, 2500])
+    def test_central_point_masses_equal_one_n_calls(self, n_max):
+        # both branches and the switch between 1000 and 1002, bit for bit
+        masses = central_point_masses(n_max)
+        want = [rademacher_point_mass(n, 0) for n in range(2, n_max + 1, 2)]
+        assert masses.dtype == np.float64
+        assert masses.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
     @given(st.lists(st.integers(1, 25), min_size=1, max_size=12))
     def test_dominates_exact_window(self, steps):

@@ -41,6 +41,19 @@ def load(path):
     return json.loads(path.read_text())
 
 
+# exponents whose n-th step a sequence file cannot hold, refused before any
+# step is built
+EXPONENTS_PAST_RANGE = {
+    "power_20000_digits": ({"family": "power", "alpha": 20000},
+                           "power alpha 20000: step 3 has more than"),
+    "power_1000.5_past_float_range": ({"family": "power", "alpha": 1000.5},
+                                      "power alpha 1000.5: step 3 is past the float range"),
+    "log_power_1e308_past_float_range": (
+        {"family": "log_power", "alpha": 1e308},
+        "log_power alpha 1e+308: step 3 is past the float range"),
+}
+
+
 class TestGen:
     def test_writes_sequence(self, tmp_path, spec_file):
         out = tmp_path / "seq.txt"
@@ -90,14 +103,16 @@ class TestGen:
         ({"family": "constant", "alpha": -1}, "constant family requires a non-negative level"),
         ({"family": "custom", "custom_values": [1, -2, 3]}, "custom step 2 is negative"),
         ({"family": "power"}, "power family requires alpha"),
+        *EXPONENTS_PAST_RANGE.values(),
     ], ids=["cover_confidence", "growth_fn_decreasing", "geometric_below_1",
-            "constant_negative", "custom_negative", "power_without_alpha"])
+            "constant_negative", "custom_negative", "power_without_alpha",
+            *EXPONENTS_PAST_RANGE])
     def test_out_of_range_spec_value_exits_2(self, tmp_path, capsys, spec, message):
         path, out = tmp_path / "spec.json", tmp_path / "seq.txt"
         path.write_text(json.dumps(spec))
         assert run("gen", "--spec", path, "--n", 3, "--out", out) == 2
         err = capsys.readouterr().err
-        assert f"rlab: error: {message}" in err and "Traceback" not in err
+        assert err.startswith(f"rlab: error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_fast_block_reaches_past_its_second_block(self, tmp_path, capsys):
@@ -152,6 +167,16 @@ class TestDist:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("dist", "--seq", tmp_path / "missing.txt", "--n", 2) == 2
+
+    @pytest.mark.parametrize("spec, message", EXPONENTS_PAST_RANGE.values(),
+                             ids=EXPONENTS_PAST_RANGE.keys())
+    def test_exponent_past_step_range_exits_2(self, tmp_path, capsys, spec, message):
+        path, out = tmp_path / "spec.json", tmp_path / "pmf.json"
+        path.write_text(json.dumps(spec))
+        assert run("dist", "--seq", path, "--n", 3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rlab: error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_spec_json_as_sequence_source(self, tmp_path, spec_file):
         out = tmp_path / "pmf.json"
@@ -525,10 +550,11 @@ class TestMc:
         ("q1_estimate", {"n": 4, "replicates": 5}, "replicates"),
         # an integer walk would compare against floor(C) exactly, but C is a number
         ("interval_hits", {"C": 10**400, "windows": [[1, 4]]}, "C"),
+        ("coupling", {"dps": 2**63}, "dps"),
     ], ids=["n", "C", "window_value", "windows_not_pairs", "block_ks", "epsilon",
             "n_fraction", "n_bool", "window_fraction", "k_fraction", "d_bool",
             "horizon_zero", "dps_zero", "windows_and_block_ks", "unknown_eps",
-            "unknown_replicates", "C_past_float_range"])
+            "unknown_replicates", "C_past_float_range", "dps_2_63"])
     def test_malformed_param_exits_2(self, tmp_path, capsys, experiment, params, name):
         man = write_manifest(tmp_path, experiment=experiment, params=params)
         assert run("mc", "--manifest", man) == 2
@@ -591,6 +617,19 @@ class TestMc:
         err = capsys.readouterr().err
         assert f"malformed manifest params.{name}" in err and "Traceback" not in err
         assert not out.exists()
+
+    # the cap is rlab.mc.MAX_DPS = 10,000 digits
+    @pytest.mark.parametrize("dps, code", [(10_000, 0), (10_001, 2)], ids=["at_cap", "past_cap"])
+    def test_dps_cap(self, tmp_path, capsys, dps, code):
+        man = write_manifest(tmp_path, experiment="coupling", replicates=1,
+                             spec={"family": "power", "alpha": 0.5},
+                             params={"d": 1.0, "epsilon": 0.1, "dps": dps})
+        out = tmp_path / "report.json"
+        assert run("mc", "--manifest", man, "--out", out) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"rlab: error: malformed manifest params.dps: {dps}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seeds_at_the_ends_of_the_range_run(self, tmp_path, seed):

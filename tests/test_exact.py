@@ -1,5 +1,7 @@
+import hashlib
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -25,10 +27,42 @@ kernel_step_lists = st.lists(
 SWITCHING = [1, 100] + [1] * 14
 POWERS_OF_THREE = [3**k for k in range(12)]
 SPARSE_POWERS_OF_THREE = [3**k for k in range(4, 16)] + [1]
+# laws whose dense window is full (every slot reached, no reach mask), holed by
+# a step longer than the window, refilled by unit steps, or left for the sparse
+# form from a full or a holed window
+FULL_WINDOW_CASES = {
+    "full_hole_refill_sparse": ([1, 1, 1, 10] + [1] * 6 + [1000], "fffhhhhhhfs"),
+    "holed_to_sparse": ([1, 1, 1, 10, 1, 1000], "fffhhs"),
+    "hole_refilled_at_once": ([1, 3, 1, 1, 1, 1, 1, 200, 1], "fhfffffss"),
+    "full_to_sparse": ([1, 1, 1, 100], "fffs"),
+    "sparse_to_holed": ([1, 100] + [1] * 14, "fssssshhhhhhhhhh"),
+}
+full_window_step_lists = st.lists(
+    st.one_of(st.just(1), st.integers(1, 4), st.integers(5, 80)), min_size=1, max_size=16)
+# longer laws through the same transitions, with rounded weights: the digest of
+# (support, weights, q1_profile) as the mask-keeping kernel computed them, and
+# the runs of forms the steps pass through
+LONG_FULL_WINDOW_LAWS = [
+    ([1] * 60 + [100] + [1] * 60 + [5000] + [1] * 150, "fhfsh", "b51e9d74b349a29f"),
+    ([2] * 70 + [3] + [2] * 10 + [600] + [1] * 40 + [7000], "hs", "154b58614ebe94c2"),
+    ([1] * 60 + [200] + [1] * 10 + [9000] + [1] * 20, "fhs", "ebba5e90db6615c2"),
+]
 # residue laws: many steps per residue class, up to 40 steps so that every
 # reachable residue keeps a mass far above float rounding
 residue_step_lists = st.lists(st.one_of(st.integers(0, 40), st.sampled_from([1, 2, 3])),
                               min_size=1, max_size=40)
+
+
+def _window_forms(steps, limit=1 << 26):
+    """The kernel's form after each step, seen from its weights: "s" sparse, and
+    for the dense window "f" when every weight is nonzero, "h" otherwise. Right
+    only while no weight underflows."""
+    weights = []
+    _lattice_law(steps, limit, on_step=weights.append)
+    g = math.gcd(*steps) or 1
+    widths = np.cumsum(steps) // g + 1
+    return ["s" if w.size != width else "f" if w.all() else "h"
+            for w, width in zip(weights, widths.tolist())]
 
 
 def cyclic_modular_law(steps, m):
@@ -161,6 +195,37 @@ class TestWalkPmf:
             Fraction(c, 2 ** len(steps)) for c in counts.tolist()]
         prof = q1_profile(steps)
         assert prof == [walk_pmf(steps[:i]).max_atom() for i in range(1, len(steps) + 1)]
+
+    @pytest.mark.parametrize("steps, forms", FULL_WINDOW_CASES.values(),
+                             ids=FULL_WINDOW_CASES.keys())
+    def test_full_window_forms_match_oracle(self, steps, forms):
+        # "f" a dense window with every slot reached, "h" one with a hole, "s" sparse
+        assert "".join(_window_forms(steps)) == forms
+        self._assert_oracle(steps)
+
+    @given(full_window_step_lists)
+    def test_unit_and_long_steps_match_oracle(self, steps):
+        self._assert_oracle(steps)
+
+    @pytest.mark.parametrize("steps, runs, digest", LONG_FULL_WINDOW_LAWS)
+    def test_long_full_window_laws_keep_their_arrays(self, steps, runs, digest):
+        assert "".join(form for form, _ in groupby(_window_forms(steps))) == runs
+        pmf, h = walk_pmf(steps), hashlib.sha256()
+        for arr in (pmf.support, pmf.weights, np.array(q1_profile(steps))):
+            h.update(arr.tobytes())
+        assert h.hexdigest()[:16] == digest
+
+    @staticmethod
+    def _assert_oracle(steps):
+        # at most 16 steps: every float weight is exact
+        values, counts = enumerate_signed_sums(steps)
+        n = len(steps)
+        pmf, exact_pmf = walk_pmf(steps), walk_pmf(steps, exact=True)
+        assert pmf.support.tolist() == exact_pmf.support.tolist() == values.tolist()
+        assert pmf.probs.tolist() == [c / 2**n for c in counts.tolist()]
+        assert exact_pmf.probs == [Fraction(c, 2**n) for c in counts.tolist()]
+        assert q1_profile(steps) == [
+            enumerate_signed_sums(steps[:i])[1].max() / 2**i for i in range(1, n + 1)]
 
     def test_dense_window_respects_cap(self):
         # after the step of 10 the window has 15 slots, above the cap of 12,

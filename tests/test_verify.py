@@ -49,6 +49,29 @@ def test_local_clt_constant_recorded():
     assert res.empirical_constants["local_clt_c"] == pytest.approx(0.12838, abs=1e-4)
 
 
+def local_clt_by_n(n_max):
+    """The reference local_clt suite: one point mass and one Gaussian term per
+    even n. Returns (cases_run, failures, constants)."""
+    running, best = [], 0.0
+    for n in range(2, n_max + 1, 2):
+        err = n * abs(bounds.rademacher_point_mass(n, 0) - bounds.local_clt_approx(n, 0))
+        best = max(best, err)
+        running.append(best)
+    median = float(np.median(running))
+    failures = [] if max(running) <= 10.0 * median else [
+        f"recorded constant explodes: max {max(running)} > 10 * median {median}"]
+    return len(running), failures, {"local_clt_c": best, "max_scaled_error": best}
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 998, 1000, 1002, 1004, 10_000])
+def test_local_clt_equals_one_n_at_a_time(n_max):
+    res = run_suite("local_clt", n_max=n_max)
+    cases_run, failures, constants = local_clt_by_n(n_max)
+    assert (res.cases_run, res.failures) == (cases_run, failures)
+    assert {k: v.hex() for k, v in res.empirical_constants.items()} == {
+        k: v.hex() for k, v in constants.items()}
+
+
 # cases_run, failures and empirical constants of each suite at the default seed
 @pytest.mark.parametrize("name,cases_run,constants", [
     ("elo", 180, {"min_slack": 0.0}),
