@@ -48,7 +48,9 @@ def _json_default(obj):
 # oracle. json uses its C encoder only without `indent`, and its pure-Python
 # one walks every list item; this writer hands each list of JSON scalars to
 # the C encoder in one call, with the indented item separator, and long float
-# lists to numpy (`numtext`), which renders them faster still.
+# lists to numpy (`numtext`), which renders them faster still. A 1-D float64
+# array goes to `numtext` as it is, an integer or bool one to the C encoder
+# through `tolist`, and any other array through `tolist` and the list paths.
 _quote = json.encoder.encode_basestring_ascii
 # exact types of JSON scalars: a list holding a numpy scalar goes item by
 # item, through _json_default
@@ -69,6 +71,29 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
+def _write_list(items, kinds: set, pad: str, out: list) -> None:
+    """Append the indent=2 JSON text of a list or 1-D array whose items have
+    the types `kinds`."""
+    if not len(items):
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    out.append("[\n" + inner)
+    if kinds == {float}:
+        out.extend(float_list_text(items, sep))
+    elif kinds <= _SCALARS:
+        # with indent None, json's C encoder: int.__repr__, float.__repr__
+        # and _quote, as the indent=2 encoder uses
+        out.append(json.JSONEncoder(separators=(sep, ": ")).encode(items)[1:-1])
+    else:
+        for i, item in enumerate(items):
+            if i:
+                out.append(sep)
+            _write_json(item, inner, out)
+    out.append("\n" + pad + "]")
+
+
 def _write_json(obj, pad: str, out: list) -> None:
     """Append the indent=2 JSON text of `obj`, starting on a line indented by `pad`."""
     if isinstance(obj, str):
@@ -84,25 +109,7 @@ def _write_json(obj, pad: str, out: list) -> None:
     elif isinstance(obj, float):
         out.append(float_text(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        out.append("[\n" + inner)
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            out.extend(float_list_text(obj, sep))
-        elif kinds <= _SCALARS:
-            # with indent None, json's C encoder: int.__repr__, float.__repr__
-            # and _quote, as the indent=2 encoder uses
-            out.append(json.JSONEncoder(separators=(sep, ": ")).encode(obj)[1:-1])
-        else:
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(sep)
-                _write_json(item, inner, out)
-        out.append("\n" + pad + "]")
+        _write_list(obj, set(map(type, obj)), pad, out)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -116,6 +123,11 @@ def _write_json(obj, pad: str, out: list) -> None:
             out.append(_quote(_key_text(key)) + ": ")
             _write_json(value, inner, out)
         out.append("\n" + pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        _write_list(obj, {float}, pad, out)  # numtext takes the array as it is
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biu":
+        # tolist gives Python ints or bools: no item needs its type checked
+        _write_list(obj.tolist(), _SCALARS, pad, out)
     else:
         _write_json(_json_default(obj), pad, out)
 
@@ -235,17 +247,17 @@ def cmd_dist(args) -> int:
                 "--exact is not supported with --mod (residue laws are float)")
         mod = exact.modular_walk_pmf(steps, args.mod)
         result = {"kind": "modular_dist", "modulus": mod.modulus,
-                  "steps_applied": len(steps), "probs": mod.probs.tolist()}
+                  "steps_applied": len(steps), "probs": mod.probs}
         _write_report(args, "dist", inputs, result)
         return 0
     pmf = exact.walk_pmf(steps, exact=bool(args.exact))
     query = exact.concentration_q(pmf, args.q)
     probs = ([f"{p.numerator}/{p.denominator}" for p in pmf.probs] if pmf.exact
-             else pmf.probs.tolist())
+             else pmf.probs)
     result = {
         "kind": "dist",
         "steps_applied": pmf.steps_applied,
-        "support": pmf.support.tolist(),
+        "support": pmf.support,
         "probs": probs,
         "q": {"r": args.q,
               "value": (f"{query.result.numerator}/{query.result.denominator}"

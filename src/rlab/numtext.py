@@ -226,14 +226,16 @@ def _float_fill(bits, text):
     return ids
 
 
-def float_list_text(items: list, sep: str) -> list[str]:
+def float_list_text(items, sep: str) -> list[str]:
     """`sep.join(map(float_text, items))`, as consecutive pieces.
+
+    `items` is a list of floats or a float64 array, which is not copied.
 
     Walk laws repeat most probabilities (a symmetric law holds each twice), so
     each distinct value is rendered once. Values are told apart by bit
     pattern, so -0.0 and 0.0 keep their texts.
     """
-    bits, where = np.unique(np.array(items, dtype=np.float64).view(np.uint64),
+    bits, where = np.unique(np.asarray(items, dtype=np.float64).view(np.uint64),
                             return_inverse=True)
     if len(items) < BULK_MIN:
         values = bits.view(np.float64)

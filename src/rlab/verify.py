@@ -202,15 +202,34 @@ def suite_prefix(seed: int = 20240801, cases: int = 200, **_) -> VerifySuiteResu
 def suite_local_clt(n_max: int = 10_000, **_) -> VerifySuiteResult:
     """n * |P(X_n = 0) - gaussian approximation| stays bounded.
 
-    The recorded empirical constant is the running maximum over even n; the
-    non-explosion check is that this recorded sequence never exceeds 10x its
-    own median (a creeping constant would).
+    Each point mass P(X_n = 0) = C(2m, m) / 4**m, n = 2m, must lie in Wallis's
+    bracket [1/sqrt(pi (m + 1/2)), 1/sqrt(pi (m + 1/4))]. The recorded
+    empirical constant is the running maximum over even n; the non-explosion
+    check is that this recorded sequence never exceeds 10x its own median (a
+    creeping constant would).
     """
     ns = np.arange(2, n_max + 1, 2)
-    # the Gaussian term at x = 0: exp(-0.0) is exactly 1
-    err = ns * np.abs(bounds.central_point_masses(n_max) - 1.0 / np.sqrt(math.pi * ns / 2.0))
-    running = np.maximum.accumulate(err)
+    masses = bounds.central_point_masses(n_max)
     res = VerifySuiteResult("local_clt", ns.size)
+    # The upper edge lies only about 1/(64 m**2) above the mass. Past
+    # bounds._EXACT_BINOMIAL_LIMIT a mass is exp of a sum of log-gammas up to
+    # lgamma(n + 1) <= n log n, each good to about an ulp, so its relative
+    # error is a few eps n log n: both edges are widened by 4 eps n log n
+    # (7.3e-11 at n = 10**4, where the edges lie 6.1e-10 and 2.5e-5 away and
+    # the error measures under 2 eps n log n). Unwidened, the upper edge
+    # fails correct masses from n = 27,922 on.
+    widen = 4 * np.finfo(float).eps * ns * np.log(ns)
+    lo = (1.0 - widen) / np.sqrt(math.pi * (ns // 2 + 0.5))
+    hi = (1.0 + widen) / np.sqrt(math.pi * (ns // 2 + 0.25))
+    outside = np.flatnonzero((masses < lo) | (masses > hi))
+    if outside.size:
+        i = outside[0]
+        res.failures.append(
+            f"P(X_n = 0) outside Wallis's bracket at {outside.size} of {ns.size} "
+            f"even n, first n={ns[i]}: {masses[i]} not in [{lo[i]}, {hi[i]}]")
+    # the Gaussian term at x = 0: exp(-0.0) is exactly 1
+    err = ns * np.abs(masses - 1.0 / np.sqrt(math.pi * ns / 2.0))
+    running = np.maximum.accumulate(err)
     median, best = float(np.median(running)), float(running.max())
     if best > 10.0 * median:
         res.failures.append(

@@ -983,6 +983,17 @@ def oracle(report):
     return json.dumps(report, indent=2, default=_json_default) + "\n"
 
 
+def as_lists(value):
+    """`value` with every numpy array in it turned into a list."""
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [as_lists(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 # JSON values for the writer's property: every leaf type json.dumps takes,
 # with default=_json_default, plus lists of one type (its bulk path).
 SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf,
@@ -1010,6 +1021,32 @@ HOMOGENEOUS = st.one_of(
     st.lists(INTS, max_size=20),
     st.lists(TEXTS, max_size=10),
     st.lists(st.booleans(), max_size=5),
+)
+# float64 arrays on both sides of numtext.BULK_MIN, drawn from a few values
+# so that most repeat
+ARRAY_FLOATS = st.one_of(SPECIAL_FLOATS, st.floats(),
+                         st.floats(-2.2250738585072e-308, 2.2250738585072e-308))
+FLOAT64_ARRAYS = st.builds(
+    lambda pool, size, seed: np.array(pool)[
+        np.random.default_rng(seed).integers(len(pool), size=size)],
+    st.lists(ARRAY_FLOATS, min_size=1, max_size=8),
+    st.sampled_from([1, 2, 7, rlab.numtext.BULK_MIN - 1, rlab.numtext.BULK_MIN,
+                     rlab.numtext.BULK_MIN + 1, 3000]),
+    st.integers(0, 2**32))
+ARRAYS = st.one_of(
+    FLOAT64_ARRAYS,
+    FLOAT64_ARRAYS.map(lambda a: a[::-2]),  # a strided view
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=30).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(0, 2**64 - 1), max_size=10).map(
+        lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.booleans(), max_size=10).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.floats(width=32), max_size=30).map(lambda v: np.array(v, dtype=np.float32)),
+    st.tuples(FLOAT64_ARRAYS, st.sampled_from([1, 2])).map(
+        lambda a: a[0][:a[0].size // a[1] * a[1]].reshape(-1, a[1])),
+    st.sampled_from([np.float64, np.int64, bool, np.float32]).map(
+        lambda t: np.array([], dtype=t)),
+    st.just(np.zeros((2, 0))),
 )
 KEYS = st.one_of(TEXTS, INTS, FLOATS, st.booleans(), st.none())
 JSON_VALUES = st.recursive(
@@ -1077,19 +1114,38 @@ class TestJsonWriter:
         # compared as lists of lines: pytest's diff of two 4 MB strings is slow
         assert text.split("\n") == oracle(report).split("\n")
 
-    def test_dist_report_lists_are_plain_python(self, tmp_path, spec_file, written):
-        assert run("dist", "--seq", spec_file, "--n", 12) == 0
-        (report, _), = written
-        res = report["result"]
-        assert {type(v) for v in res["support"]} == {int}
-        assert {type(p) for p in res["probs"]} == {float}
+    @pytest.mark.parametrize("argv", [
+        ["--n", 60],  # 1,831 atoms: past numtext.BULK_MIN
+        ["--n", 12, "--exact"],
+        ["--n", 12, "--mod", 7],
+    ], ids=["float", "exact", "mod"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_dist_arrays_write_as_lists(self, tmp_path, written, argv, fmt):
+        spec = tmp_path / "power.json"
+        spec.write_text(json.dumps({"family": "power", "alpha": 1}))
+        out = tmp_path / "report"
+        assert run("dist", "--seq", spec, *argv, "--format", fmt, "--out", out) == 0
+        (report, text), = written
+        result = report["result"]
+        assert isinstance(result["probs"], list if "--exact" in argv else np.ndarray)
+        assert "--mod" in argv or isinstance(result["support"], np.ndarray)
+        plain = as_lists(report)
+        assert text == out.read_text() == emit_table(plain, fmt)
+        if fmt == "json":
+            assert text == oracle(plain)
 
     @given(st.dictionaries(TEXTS, JSON_VALUES, max_size=4))
     def test_matches_json_dumps(self, report):
         assert emit_table(report, "json") == oracle(report)
 
+    @given(st.dictionaries(TEXTS, st.one_of(ARRAYS, st.lists(ARRAYS, max_size=3)),
+                           max_size=3))
+    def test_arrays_match_json_dumps(self, report):
+        assert emit_table(report, "json") == oracle(report)
+
     def test_unserialisable_values_raise_like_json(self):
-        for bad in ({"x": object()}, {"x": [np.bool_(True)]}, {"x": {(1, 2): 3}}):
+        for bad in ({"x": object()}, {"x": [np.bool_(True)]}, {"x": {(1, 2): 3}},
+                    {"x": np.array([1.0, object()], dtype=object)}):
             with pytest.raises(TypeError):
                 oracle(bad)
             with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,11 +53,18 @@ def test_local_clt_constant_recorded():
 def local_clt_by_n(n_max):
     """The reference local_clt suite: one point mass and one Gaussian term per
     even n. Returns (cases_run, failures, constants)."""
-    running, best = [], 0.0
+    running, best, outside = [], 0.0, []
     for n in range(2, n_max + 1, 2):
-        err = n * abs(bounds.rademacher_point_mass(n, 0) - bounds.local_clt_approx(n, 0))
+        mass = bounds.rademacher_point_mass(n, 0)
+        # Wallis's bracket, widened by the suite's 4 eps n log n
+        widen = 4 * sys.float_info.epsilon * n * math.log(n)
+        if not ((1 - widen) / math.sqrt(math.pi * (n // 2 + 0.5)) <= mass
+                <= (1 + widen) / math.sqrt(math.pi * (n // 2 + 0.25))):
+            outside.append(n)
+        err = n * abs(mass - bounds.local_clt_approx(n, 0))
         best = max(best, err)
         running.append(best)
+    assert not outside, "the reference reports no bracket failure text"
     median = float(np.median(running))
     failures = [] if max(running) <= 10.0 * median else [
         f"recorded constant explodes: max {max(running)} > 10 * median {median}"]
@@ -70,6 +78,23 @@ def test_local_clt_equals_one_n_at_a_time(n_max):
     assert (res.cases_run, res.failures) == (cases_run, failures)
     assert {k: v.hex() for k, v in res.empirical_constants.items()} == {
         k: v.hex() for k, v in constants.items()}
+
+
+@pytest.mark.parametrize("factor,above", [(1.01, 2), (1.01, 1000), (1.01, 5000),
+                                          (2.0, 1000), (0.99, 5000)])
+def test_local_clt_fails_on_wrong_point_masses(monkeypatch, factor, above):
+    central_point_masses = bounds.central_point_masses
+
+    def perturbed(n_max):
+        masses = central_point_masses(n_max)
+        masses[above // 2:] *= factor  # every even n above `above`
+        return masses
+    monkeypatch.setattr(bounds, "central_point_masses", perturbed)
+    res = run_suite("local_clt")
+    assert len(res.failures) == 1
+    assert res.failures[0].startswith(
+        f"P(X_n = 0) outside Wallis's bracket at {5000 - above // 2} of 5000 even n, "
+        f"first n={above + 2}: ")
 
 
 # cases_run, failures and empirical constants of each suite at the default seed
