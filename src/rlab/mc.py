@@ -22,7 +22,7 @@ from . import exact
 from .bounds import kochen_stone_ratio
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .sequences import StepSequenceSpec, generate, recurrence_event_window
-from .streams import (GENERATOR_VERSION, SubstreamSampler, _signs_from_words,
+from .streams import (GENERATOR_VERSION, SubstreamSampler, _int32_signs,
                       rademacher_signs, substream, wilson_interval)
 
 # each experiment and the names of the params it reads (see `run_experiment`)
@@ -199,12 +199,15 @@ def _usable_cpus() -> int:
 def _map_blocks(manifest: McRunManifest, worker, size: int, threads: int) -> list:
     """`worker(signs)` for each block of replicates, returned in replicate order.
 
-    A block is the int8 matrix of the first `size` signs of about _BLOCK / size
+    A block is the matrix of the first `size` signs of about _BLOCK / size
     (at least one) consecutive replicates, one row each; `size` is the prefix
     the experiment walks (its last window end, n or block end), not the
     horizon. The calling thread draws every block's raw words with one
-    `SubstreamSampler`; `threads - 1` pool workers map them to signs and run
-    `worker`, and at most `threads` blocks are drawn and not yet collected.
+    `SubstreamSampler`; `threads - 1` pool workers turn them into signs with
+    `_int32_signs` and run `worker`, and at most `threads` blocks are drawn
+    and not yet collected. The signs are an int32 view over the block's own
+    words: a worker may overwrite them, say with its walk, and must not keep
+    them past its return.
     Both counts are capped at the usable CPUs, and with one thread everything
     runs on the calling thread. A worker's error stops the drawing and is
     raised here once the blocks in flight end. Replicate i's signs depend
@@ -218,7 +221,7 @@ def _map_blocks(manifest: McRunManifest, worker, size: int, threads: int) -> lis
         return sampler.words(manifest.master_seed, range(start, min(start + rows, R)), size)
 
     def task(words):
-        return worker(_signs_from_words(words, size))
+        return worker(_int32_signs(words, size))
 
     threads = min(threads, _usable_cpus())
     if threads <= 1:
@@ -232,16 +235,33 @@ def _map_blocks(manifest: McRunManifest, worker, size: int, threads: int) -> lis
         return results + [future.result() for future in pending]
 
 
-def _narrow_walk_steps(steps: np.ndarray, C) -> tuple[np.ndarray, int]:
-    """Integer steps cast for the walk, and c = min(floor(C), S) for their sum S.
+def _narrow_walk_steps(steps: np.ndarray, C=0) -> tuple[np.ndarray, int]:
+    """Integer steps cast for the walk, and c = min(floor(C), S) for their sum S;
+    real steps as they are, and c = 0.
 
     For integer x, |x| <= C holds exactly when |x| <= c, since |x| <= S. Every
     position x + c lies in [c - S, S + c], which int32 holds when
     S + c < 2**31 and int64 always does (S < 2**62).
     """
+    if steps.dtype.kind == "f":
+        return steps, 0
     S = int(steps.sum())
     c = min(math.floor(C), S)
     return steps.astype(np.int32 if S + c < 1 << 31 else np.int64), c
+
+
+def _walk(signs: np.ndarray, steps: np.ndarray, c=0) -> np.ndarray:
+    """c + X_1, ..., c + X_size in each row of a block's signs.
+
+    int32 steps (see `_narrow_walk_steps`) walk in the signs' own memory;
+    int64 or float64 steps, or signs of another byte order, take a fresh
+    array of the steps' dtype.
+    """
+    own = signs.dtype == steps.dtype
+    walk = np.multiply(signs, steps, out=signs if own else None, dtype=steps.dtype)
+    if c:
+        walk[:, :1] += c  # the cumsum carries it to every position
+    return np.cumsum(walk, axis=1, out=walk)
 
 
 def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
@@ -263,27 +283,21 @@ def estimate_interval_hits(manifest: McRunManifest, C: float, block_windows,
                 f"windows ({s1},{e1}) and ({s2},{e2}) overlap")
     K = len(windows)
     last = max((e for _, e in windows), default=0)
-    steps = _steps_array(manifest, last)
+    steps, c = _narrow_walk_steps(_steps_array(manifest, last), C)
     integral = steps.dtype.kind == "i"
-    if integral:
-        steps, c = _narrow_walk_steps(steps, C)
 
     def worker(signs):
+        walk = _walk(signs, steps, c)
         if integral:
             # |x| <= c exactly when x + c, read unsigned, is at most 2c
-            walk = np.multiply(signs, steps, dtype=steps.dtype)
-            np.cumsum(walk, axis=1, dtype=walk.dtype, out=walk)
-            walk += c
             walk = walk.view(f"u{walk.itemsize}")
             bound = walk.dtype.type(2 * c)
         else:
-            walk = signs * steps
-            np.cumsum(walk, axis=1, out=walk)
             np.abs(walk, out=walk)
             bound = C
         hits = np.empty((len(signs), K), dtype=np.int64)
         for j, (s, e) in enumerate(windows):
-            hits[:, j] = (walk[:, s - 1:e] <= bound).any(axis=1)
+            hits[:, j] = walk[:, s - 1:e].min(axis=1) <= bound
         # hit counts on the diagonal, joint counts of window pairs off it
         return hits.T @ hits
 
@@ -330,12 +344,13 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     if n < 1 or n > manifest.horizon:
         raise ConfigurationError(f"n={n} outside 1..{manifest.horizon}")
     R = manifest.replicates
-    steps = _steps_array(manifest, n)
+    steps, _ = _narrow_walk_steps(_steps_array(manifest, n))
     integral = steps.dtype.kind == "i"
 
     def worker(signs):
         if integral:
-            # einsum casts the int8 block piece by piece, where `@` copies it whole
+            # einsum sums int32 signs and steps in int32, with no walk matrix;
+            # int64 steps it casts the block to piece by piece
             return np.unique(np.einsum("ij,j->i", signs, steps), return_counts=True)
         # real steps keep `@`: their results depend on its summation order
         cells = np.floor((signs @ steps) * _REAL_STEP_GRID).astype(np.int64)
@@ -347,7 +362,7 @@ def estimate_q1(manifest: McRunManifest, n: int, threads: int = 1) -> Q1Estimate
     totals = np.zeros(keys.size, dtype=np.int64)
     np.add.at(totals, where, cnts)
     # the empirical law in counts over R; a real-step unit window spans 16 cells
-    law = exact.ExactPMF(keys, totals, n, R)
+    law = exact.ExactPMF(keys.astype(np.int64, copy=False), totals, n, R)
     q1_hat = float(exact.concentration_q(law, 1 if integral else _REAL_STEP_GRID).result)
     stderr = math.sqrt(q1_hat * (1.0 - q1_hat) / R)
     return Q1Estimate(q1_hat, stderr, R, n, low_sample=R * q1_hat < 100.0)
@@ -415,11 +430,10 @@ def _embed_blocks(manifest: McRunManifest, k: int, threads: int) -> tuple[int, i
     guard reads only those; the traces equal `block_pair_trace`'s.
     """
     start, end = _event_window(manifest, k)
-    steps = _steps_array(manifest, end)
+    steps, _ = _narrow_walk_steps(_steps_array(manifest, end))
 
     def worker(signs):
-        walk = np.multiply(signs, steps, dtype=steps.dtype)
-        np.cumsum(walk, axis=1, out=walk)
+        walk = _walk(signs, steps)
         # column j holds X_{j+1}: the pair trace is X_{start-1}, X_{start+1}, ..., X_end
         pairs = walk[:, start - 2::2]
         visits = np.array([embed_2d(row, k).visits_to_line for row in pairs.tolist()],

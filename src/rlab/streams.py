@@ -4,14 +4,16 @@ Every Monte Carlo consumer derives an independent substream per replicate
 from `(master_seed, replicate)` via the Philox counter-based generator, so
 results do not depend on replicate execution order or worker count.
 
-Every sign is read from raw Philox words by one mapping, `_signs_from_words`:
-sign i is +1 when bit 31 of the i-th 32-bit half of `Philox.random_raw`, low
-half first, is set, else -1. With the words laid out little-endian on any
-machine, that bit is the sign bit of the i-th int32, so each sign is one
-compare. `rademacher_signs` applies it to the next words of one stream and
-`SubstreamSampler.signs` to the first words of many, which
-`SubstreamSampler.words` draws on their own so that another thread can map
-them.
+Every sign is read from raw Philox words by one kernel, `_int32_signs`: sign
+i is +1 when bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half
+first, is set, else -1. With the words laid out little-endian on any machine,
+that bit is the sign bit of the i-th int32, so the kernel writes each sign
+over its own half and returns an int32 view of the words: the Monte Carlo
+blocks walk in the memory they were drawn into. `_signs_from_words` runs it
+on a copy and casts to int8; `rademacher_signs` applies that to the next
+words of one stream and `SubstreamSampler.signs` to the first words of many,
+which `SubstreamSampler.words` draws on their own so that another thread can
+map them.
 The tests keep numpy's bounded `Generator.integers` over {0, 1} as the
 oracle: it keeps the same bit of the same 32-bit halves, so these are the
 signs rlab drew through it before.
@@ -38,18 +40,27 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
-    """The first `size` signs of each row of uint64 Philox words, as int8."""
-    # Bit 31 of each little-endian 32-bit half is its int32 sign bit. The "<u8"
-    # cast makes no copy on a little-endian machine and swaps the bytes on any
-    # other. An odd size skips the last high half. The bools, read as int8 0 or
-    # 1, become 2b - 1 in place; numpy adds int8 vectors far faster than it
-    # shifts them.
+def _int32_signs(raw: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` signs of each row of uint64 Philox words, written over
+    the words as an int32 view of them.
+
+    Bit 31 of each little-endian 32-bit half is its int32 sign bit. The "<u8"
+    cast makes no copy on a little-endian machine, so the signs overwrite
+    `raw`; on any other it swaps the bytes into a copy and leaves `raw` as it
+    was. An odd size leaves the last high half as it was. numpy's right shift
+    of a signed int is arithmetic, so h >> 31 is -1 where the bit is set and
+    0 where not, and -2 (h >> 31) - 1 is the sign.
+    """
     halves = raw.astype("<u8", copy=False).view("<i4")[..., :size]
-    out = np.less(halves, 0).view(np.int8)
-    out += out
-    out -= 1
-    return out
+    halves >>= 31
+    halves *= -2
+    halves -= 1
+    return halves
+
+
+def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
+    """`_int32_signs` of a copy of `raw`, as int8; `raw` stays as it was."""
+    return _int32_signs(raw.astype("<u8"), size).astype(np.int8)
 
 
 def rademacher_signs(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -86,7 +97,7 @@ class SubstreamSampler:
         in `indices`: one uint64 row of ceil(size / 2) words per index.
 
         Row r holds the first words of `substream(master_seed, indices[r])`,
-        so `_signs_from_words(rows, size)` gives the same signs on whichever
+        so `_int32_signs(rows, size)` gives the same signs on whichever
         thread maps them. Each row re-keys the one Philox to counter 0 and key
         (master_seed, indices[r]), both masked to 64 bits, from the sampler's
         dict of plain ints. Drawing is the only step that touches the sampler.

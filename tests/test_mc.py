@@ -308,14 +308,33 @@ class TestBlockMap:
     @pytest.mark.parametrize("block, rows, threads", [
         (5, 1, 1), (5, 1, 3), (1000, 25, 2), (1000, 25, 3)])
     def test_blocks_in_replicate_order(self, monkeypatch, block, rows, threads):
-        # a block smaller than one row holds one replicate
+        # a block smaller than one row holds one replicate; its signs are an
+        # int32 view over the words drawn for it, even where an odd size
+        # leaves each row's last half unused
         monkeypatch.setattr(mc, "_BLOCK", block)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         man = manifest(replicates=250, horizon=40, seed=4)
-        blocks = mc._map_blocks(man, np.copy, 40, threads)
-        assert [b.shape for b in blocks] == [(rows, 40)] * (250 // rows)
-        assert np.array_equal(np.concatenate(blocks).reshape(-1),
-                              SubstreamSampler().signs(4, range(250), 40))
+        drawn = []
+
+        class KeepingSampler(SubstreamSampler):
+            def words(self, *args):
+                drawn.append(super().words(*args))
+                return drawn[-1]
+
+        def worker(signs):
+            owners = [i for i, words in enumerate(drawn) if np.shares_memory(signs, words)]
+            return signs.dtype, owners, signs.copy()
+
+        monkeypatch.setattr(mc, "SubstreamSampler", KeepingSampler)
+        for size in (40, 39):
+            drawn.clear()
+            dtypes, owners, blocks = zip(*mc._map_blocks(man, worker, size, threads))
+            assert set(dtypes) == {np.dtype(np.int32)}
+            assert list(owners) == [[i] for i in range(250 // rows)]
+            assert len(drawn) == len(blocks)
+            assert [b.shape for b in blocks] == [(rows, size)] * (250 // rows)
+            assert np.array_equal(np.concatenate(blocks).reshape(-1),
+                                  SubstreamSampler().signs(4, range(250), size))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_no_windows_draw_no_signs(self, monkeypatch, threads):
@@ -348,11 +367,11 @@ class TestBlockMap:
         def failing(words, size):
             if len(blocks) > 2 and words is blocks[2]:
                 raise ArithmeticError("block 3")
-            return signs_from_words(words, size)
+            return int32_signs(words, size)
 
-        signs_from_words = mc._signs_from_words
+        int32_signs = mc._int32_signs
         monkeypatch.setattr(mc, "SubstreamSampler", CountingSampler)
-        monkeypatch.setattr(mc, "_signs_from_words", failing)
+        monkeypatch.setattr(mc, "_int32_signs", failing)
         before = threading.active_count()
         with pytest.raises(ArithmeticError, match="block 3"):
             run_experiment(McRunManifest.from_dict(self.HITS), threads=threads)
@@ -400,15 +419,18 @@ class TestPinnedBlockResults:
 class TestBlockMemory:
     """Peak traced allocation of a run with two usable CPUs. Before blocks,
     two threads each held a 2,048-row chunk: 64.4 MB (interval_hits) and
-    52.1 MB (q1) on these runs."""
+    52.1 MB (q1) on these runs. With an int8 sign matrix and a walk matrix
+    beside each block's words they read 28.9 and 19.0 MB. Walking in the
+    words, both read 16.8 MB, the raw words of two blocks in flight (8.4 MB
+    each); the limits leave 2.2 MB over that."""
 
     @pytest.mark.parametrize("manifest_body, limit_mb", [
         ({"master_seed": 3, "replicates": 4096, "horizon": 2730,
           "spec": {"family": "sqrt_block"}, "experiment": "interval_hits",
-          "params": {"block_ks": [1, 2, 3]}}, 40),
+          "params": {"block_ks": [1, 2, 3]}}, 19),
         ({"master_seed": 3, "replicates": 4000, "horizon": 2600,
           "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
-          "params": {"n": 2600}}, 25),
+          "params": {"n": 2600}}, 19),
     ], ids=["interval_hits", "q1"])
     def test_peak_bounded(self, monkeypatch, manifest_body, limit_mb):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
@@ -450,7 +472,11 @@ class TestNarrowIntegerWalk:
     @pytest.mark.parametrize("edge, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)],
                              ids=["int32", "int64"])
     @pytest.mark.parametrize("C", [0, 0.5, 2.7, "S"])
-    def test_guard_edge_matches_int64_oracle(self, edge, dtype, C):
+    def test_guard_edge_matches_int64_oracle(self, monkeypatch, edge, dtype, C):
+        # six blocks of 375 rows, the last short, walked in their words
+        # (int32) or in a fresh array beside them (int64)
+        monkeypatch.setattr(mc, "_BLOCK", 3000)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         if C == "S":  # every position hits; S + c = 2S, the even sum at the edge
             C = edge // 2
             man = self.edge_manifest(C)
@@ -469,7 +495,7 @@ class TestNarrowIntegerWalk:
             assert hits.all()
         else:
             assert 0 < hits.sum() < hits.size
-        for threads in (1, 3):
+        for threads in (1, 2, 3):
             stats = estimate_interval_hits(man, C, self.WINDOWS, threads=threads)
             assert [stats.per_event[j].hits for j in (1, 2, 3)] == hits.sum(axis=0).tolist()
             assert stats.joint == {(j + 1, k + 1): int(np.sum(hits[:, j] & hits[:, k]))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, _signs_from_words,
-                          rademacher_signs, substream, wilson_interval)
+from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, _int32_signs,
+                          _signs_from_words, rademacher_signs, substream, wilson_interval)
 
 
 def oracle_signs(rng, size):
@@ -142,6 +142,19 @@ def shifted_byte_signs(raw, size):
     return out
 
 
+def check_int32_signs(raw, size):
+    """`_int32_signs` on a copy of `raw` against the byte shift: an int32 view
+    over little-endian words, and big-endian words left as they were."""
+    words = raw.copy()
+    got = _int32_signs(words, size)
+    assert got.dtype == np.int32 and got.shape == raw.shape[:-1] + (size,)
+    assert np.array_equal(got, shifted_byte_signs(raw, size))
+    if raw.dtype.byteorder == ">":
+        assert np.array_equal(words, raw) and not np.shares_memory(got, words)
+    else:
+        assert np.shares_memory(got, words) == (size > 0)
+
+
 class TestSignsAgainstByteShift:
     @pytest.mark.parametrize("shape", [(7,), (64,), (5, 33), (3, 4, 10)],
                              ids=["1d_odd", "1d_even", "2d", "3d"])
@@ -150,10 +163,13 @@ class TestSignsAgainstByteShift:
         rng = np.random.default_rng(sum(shape))
         raw = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
         raw = raw.astype(order)
+        before = raw.copy()
         for size in {0, 1, 2 * shape[-1] - 1, 2 * shape[-1]}:
             got = _signs_from_words(raw, size)
             assert got.dtype == np.int8 and got.shape == shape[:-1] + (size,)
             assert np.array_equal(got, shifted_byte_signs(raw, size))
+            assert np.array_equal(raw, before)
+            check_int32_signs(raw, size)
 
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
            st.integers(0, 80))
@@ -164,6 +180,7 @@ class TestSignsAgainstByteShift:
             raw = np.array(words, dtype=np.uint64).astype(order)
             assert np.array_equal(_signs_from_words(raw, size),
                                   shifted_byte_signs(raw, size))
+            check_int32_signs(raw, size)
 
 
 class TestWilson:
