@@ -6,11 +6,16 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 with its traceback). Reports are JSON written atomically (temp file
 plus rename) and embed the full manifest and tool version; `--format csv`
 writes a plot-ready projection instead. Logarithms are natural throughout.
+
+`bounds`, `mc` and `verify` are imported by the commands that run them, so
+`dist` and `gen` load neither them nor mpmath; `rlab.cli.bounds` (and
+`.mc`, `.verify`) still resolve, through the module's `__getattr__`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import io
 import json
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, exact, mc, verify
+from . import __version__, exact
 from .errors import ConfigurationError, DomainError, InfeasibleError
 from .numtext import float_list_text, float_text
 from .sequences import (StepSequenceSpec, generate, parse_json_object,
@@ -55,6 +60,17 @@ _quote = json.encoder.encode_basestring_ascii
 # exact types of JSON scalars: a list holding a numpy scalar goes item by
 # item, through _json_default
 _SCALARS = {str, int, float, bool, type(None)}
+# `bounds.CHECKS` and `sorted(verify.SUITES)`, which the parser lists without
+# importing either module; a test keeps them equal
+_CHECK_NAMES = ("elo", "modular-elo", "lower-anti", "hoeffding", "paley-zygmund")
+_SUITE_NAMES = ("combine_scales", "elo", "exponent_fit", "hoeffding", "local_clt",
+                "modular_elo", "paley_zygmund", "prefix")
+
+
+def __getattr__(name):
+    if name in ("bounds", "mc", "verify"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _key_text(key) -> str:
@@ -269,6 +285,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     if args.exponent:
         if args.check:
             raise ConfigurationError("--exponent and --check are separate reports; "
@@ -309,7 +327,9 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _load_manifest(path: str) -> mc.McRunManifest:
+def _load_manifest(path: str):
+    from . import mc
+
     data = parse_json_object(read_input_text(path), path, "manifest")
     if "manifest" in data and "result" in data:  # replaying a persisted report
         result = data["result"]
@@ -322,6 +342,8 @@ def _load_manifest(path: str) -> mc.McRunManifest:
 def cmd_mc(args) -> int:
     if args.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, not {args.threads}")
+    from . import mc
+
     manifest = _load_manifest(args.manifest)
     result = mc.run_experiment(manifest, threads=args.threads)
     _write_report(args, "mc", {"manifest_path": args.manifest,
@@ -348,6 +370,8 @@ def _read_points(path: str):
 
 
 def cmd_fit(args) -> int:
+    from . import mc
+
     points = _read_points(args.points)
     fit = mc.fit_exponent(points)
     result = {"kind": "fit", "points": points, "slope": fit.slope,
@@ -357,6 +381,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     knobs = {}
     reads = inspect.signature(verify.SUITES[args.suite]).parameters
     # the least value of each knob: numpy takes no negative seed, and below its
@@ -408,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational-probability mode for the exact engine")
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form bound reports")
-    p.add_argument("--check", help=" | ".join(bounds.CHECKS))
+    p.add_argument("--check", help=" | ".join(_CHECK_NAMES))
     p.add_argument("--exponent", action="store_true",
                    help="evaluate the anti-concentration exponent formula")
     p.add_argument("--alpha", type=float)
@@ -429,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="CSV of n,value rows")
 
     p = sub.add_parser("verify", parents=[common], help="inequality verification suites")
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    p.add_argument("--suite", required=True, choices=_SUITE_NAMES)
     p.add_argument("--seed", type=int, default=20240801, help="master seed")
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--max-m", dest="max_m", type=int, default=None)

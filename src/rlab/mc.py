@@ -2,7 +2,9 @@
 
 Replicate i draws from the substream (master_seed, i), so every estimate is
 invariant under replicate execution order and worker count; aggregation is
-commutative (integer counts only).
+commutative (integer counts only). mpmath is imported when the first
+coupling game or replay starts (`_SequenceView`), so no other experiment
+loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from mpmath import mp, mpf
 
 from . import exact
 from .bounds import kochen_stone_ratio
@@ -32,6 +33,8 @@ EXPERIMENTS = {
     "embed2d": ("k",),
     "coupling": ("d", "epsilon", "horizon", "dps"),
 }
+# mpmath's context and number type, bound by the first `_SequenceView`
+mp = mpf = None
 _BLOCK = 1 << 21  # sign entries per block (`_map_blocks`); 2M ran faster than 0.25M-8M
 _REAL_STEP_GRID = 16  # unit windows slide on a 1/16 grid for real-valued walks
 
@@ -427,18 +430,43 @@ def _embed_blocks(manifest: McRunManifest, k: int, threads: int) -> tuple[int, i
     their zero count.
 
     Each replicate walks only the steps up to the block end, so the 64-bit
-    guard reads only those; the traces equal `block_pair_trace`'s.
+    guard reads only those; the traces equal `block_pair_trace`'s. A block
+    takes `embed_2d`'s steps in array passes over its pair matrix: the
+    positions cast to integers, each increment split into an x step (+-big)
+    or a y step (+-2), and a visit wherever big * x + 2 * y + c = 0. The
+    first row with another increment is handed to `embed_2d`, which names
+    its first bad pair-step.
     """
     start, end = _event_window(manifest, k)
     steps, _ = _narrow_walk_steps(_steps_array(manifest, end))
+    big = 2 ** (2 * k + 1)
 
     def worker(signs):
         walk = _walk(signs, steps)
         # column j holds X_{j+1}: the pair trace is X_{start-1}, X_{start+1}, ..., X_end
         pairs = walk[:, start - 2::2]
-        visits = np.array([embed_2d(row, k).visits_to_line for row in pairs.tolist()],
-                          dtype=np.int64)
-        return np.array([visits.sum(), np.count_nonzero(visits != (pairs == 0).sum(axis=1))])
+        # int() of each position, as embed_2d reads it; every partial sum of
+        # the increments is at most the step sum, so int32 walks stay int32
+        trace = pairs.astype(np.int64) if pairs.dtype.kind == "f" else pairs
+        x = np.diff(trace, axis=1)
+        size = np.abs(x)
+        small = size == 2
+        bad = (size != big) & ~small
+        if bad.any():
+            embed_2d(pairs[bad.any(axis=1).argmax()], k)  # raises
+        del size, bad  # freed before y is allocated, off the block's peak
+        np.sign(x, out=x)
+        y = x * small  # the y steps, and x keeps the x steps
+        x[small] = 0
+        np.cumsum(x, axis=1, out=x)
+        np.cumsum(y, axis=1, out=y)
+        x *= big
+        y *= 2
+        x += y  # big * x + 2 * y at each point after the path's start (0, 0)
+        c = trace[:, :1]
+        visits = (c[:, 0] == 0) + np.count_nonzero(x == -c, axis=1)
+        zeros = np.count_nonzero(pairs == 0, axis=1)
+        return np.array([visits.sum(), np.count_nonzero(visits != zeros)])
 
     return tuple(sum(_map_blocks(manifest, worker, end, threads)).tolist())
 
@@ -502,6 +530,9 @@ class _SequenceView:
     """
 
     def __init__(self, spec: StepSequenceSpec, horizon: int | None):
+        global mp, mpf
+        from mpmath import mp, mpf
+
         self.spec = spec
         self._memo: dict[int, mpf] = {}
         self._found: dict[tuple, int] = {}

@@ -5,6 +5,8 @@ the identical prefix, and generate(spec, n) is a prefix of
 generate(spec, m) for n < m. The FAMILIES table maps each family to its
 prefix function and to the spec fields it reads; a spec rejects any other
 field set away from its default, and serialises only the fields it reads.
+mpmath's interval arithmetic, which `log_power_counts` needs for its exact
+ceilings, is imported on that function's first call, not with this module.
 
 Families
 --------
@@ -38,7 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from mpmath.libmp import from_int, mpi_exp, mpi_sqrt, round_floor, to_int
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
 
@@ -459,6 +460,9 @@ def _ceil_exp_sqrt(j: int) -> int:
     """
     if j == 0:
         return 1
+    # imported here: see the module docstring
+    from mpmath.libmp import from_int, mpi_exp, mpi_sqrt, round_floor, to_int
+
     point = (from_int(j), from_int(j))
     prec = int(1.5 * math.sqrt(j)) + 64
     while True:

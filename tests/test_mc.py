@@ -422,7 +422,9 @@ class TestBlockMemory:
     52.1 MB (q1) on these runs. With an int8 sign matrix and a walk matrix
     beside each block's words they read 28.9 and 19.0 MB. Walking in the
     words, both read 16.8 MB, the raw words of two blocks in flight (8.4 MB
-    each); the limits leave 2.2 MB over that."""
+    each); the limits leave 2.2 MB over that. embed2d at k = 3 adds its
+    workers' pair-matrix passes: 25.5 MB, against 47.0 MB when each block's
+    pairs went through Python lists and `embed_2d` row by row."""
 
     @pytest.mark.parametrize("manifest_body, limit_mb", [
         ({"master_seed": 3, "replicates": 4096, "horizon": 2730,
@@ -431,7 +433,10 @@ class TestBlockMemory:
         ({"master_seed": 3, "replicates": 4000, "horizon": 2600,
           "spec": {"family": "sqrt_block"}, "experiment": "q1_estimate",
           "params": {"n": 2600}}, 19),
-    ], ids=["interval_hits", "q1"])
+        ({"master_seed": 3, "replicates": 4000, "horizon": 2730,
+          "spec": {"family": "sqrt_block"}, "experiment": "embed2d",
+          "params": {"k": 3}}, 28),
+    ], ids=["interval_hits", "q1", "embed2d"])
     def test_peak_bounded(self, monkeypatch, manifest_body, limit_mb):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         man = McRunManifest.from_dict(manifest_body)
@@ -650,6 +655,22 @@ class TestEmbed2dBlocks:
         with pytest.raises(want.type) as got:
             run_experiment(man, threads=threads)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("block", [1000, 20])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_bad_row_names_its_first_bad_pair(self, monkeypatch, threads, block):
+        # steps 5-8 are (6, 2, 7, 1): a pair-step of +-4 or +-6 where a pair's
+        # signs differ. Replicates 0 and 1 pass, 2 fails at pair-step 3 only
+        # and 4 at pair-step 2; blocks of 20 entries hold 2 replicates.
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        man = self.embed_manifest(1, 60, 10, seed=11, family="custom",
+                                  custom_values=[3, 1, 5, 3, 6, 2, 7, 1, 5, 3])
+        with pytest.raises(DomainError) as got:
+            run_experiment(man, threads=threads)
+        with pytest.raises(DomainError) as want:
+            embed2d_oracle(man, 1)
+        assert str(got.value) == str(want.value) == \
+            "pair-step 3: increment -6 not in {+-8, +-2}"
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_draws_only_to_the_block_end(self, monkeypatch, k):
