@@ -86,15 +86,15 @@ class McRunManifest:
         if not isinstance(data.get("params", {}), dict):
             raise ConfigurationError(
                 f"manifest params must be an object, not {data['params']!r}")
+        counts = {}
         for key in ("master_seed", "replicates", "horizon"):
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            try:
+                counts[key] = _integer(data[key])
+            except TypeError:
                 raise ConfigurationError(
-                    f"manifest {key} must be an integer, not {value!r}")
+                    f"manifest {key} must be an integer, not {data[key]!r}") from None
         return cls(
-            master_seed=int(data["master_seed"]),
-            replicates=int(data["replicates"]),
-            horizon=int(data["horizon"]),
+            **counts,
             spec=StepSequenceSpec.from_dict(data["spec"]),
             experiment=data["experiment"],
             params=dict(data.get("params", {})),
@@ -166,7 +166,7 @@ def _steps_array(manifest: McRunManifest, used: int | None = None):
     """
     steps = generate(manifest.spec, manifest.horizon)
     if all(type(a) is int for a in steps):
-        if sum(steps[:used]) >= 1 << 62:
+        if sum(steps[:used]) >= exact._INT64_GUARD:
             raise InfeasibleError(
                 "walk positions on these steps would overflow 64-bit integers")
         return np.asarray(steps[:used], dtype=np.int64)

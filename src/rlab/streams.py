@@ -9,11 +9,10 @@ i is +1 when bit 31 of the i-th 32-bit half of `Philox.random_raw`, low half
 first, is set, else -1. With the words laid out little-endian on any machine,
 that bit is the sign bit of the i-th int32, so the kernel writes each sign
 over its own half and returns an int32 view of the words: the Monte Carlo
-blocks walk in the memory they were drawn into. `_signs_from_words` runs it
-on a copy and casts to int8; `rademacher_signs` applies that to the next
-words of one stream and `SubstreamSampler.signs` to the first words of many,
-which `SubstreamSampler.words` draws on their own so that another thread can
-map them.
+blocks walk in the memory they were drawn into. `rademacher_signs` applies it
+to the next words of one stream and `SubstreamSampler.signs` to the first
+words of many, which `SubstreamSampler.words` draws on their own so that
+another thread can map them.
 The tests keep numpy's bounded `Generator.integers` over {0, 1} as the
 oracle: it keeps the same bit of the same 32-bit halves, so these are the
 signs rlab drew through it before.
@@ -58,20 +57,15 @@ def _int32_signs(raw: np.ndarray, size: int) -> np.ndarray:
     return halves
 
 
-def _signs_from_words(raw: np.ndarray, size: int) -> np.ndarray:
-    """`_int32_signs` of a copy of `raw`, as int8; `raw` stays as it was."""
-    return _int32_signs(raw.astype("<u8"), size).astype(np.int8)
-
-
 def rademacher_signs(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The next `size` fair signs of `rng`'s stream in {-1, +1} as int8.
+    """The next `size` fair signs of `rng`'s stream in {-1, +1} as int32.
 
     Signs are read from whole raw words, so only even sizes continue the
     stream: an odd size drops the high half of its last word. `rng` must not
     also be drawn from through the `Generator` API, whose buffered 32-bit
     half `random_raw` skips.
     """
-    return _signs_from_words(rng.bit_generator.random_raw(-(-size // 2)), size)
+    return _int32_signs(rng.bit_generator.random_raw(-(-size // 2)), size)
 
 
 class SubstreamSampler:
@@ -113,13 +107,13 @@ class SubstreamSampler:
         return raw
 
     def signs(self, master_seed: int, indices, size: int) -> np.ndarray:
-        """The first `size` signs of each substream in `indices` as int8.
+        """The first `size` signs of each substream in `indices` as int32.
 
         Row-major and flat: replicate `indices[r]` owns entries
         `r * size .. (r + 1) * size - 1`, equal to
         `rademacher_signs(substream(master_seed, indices[r]), size)`.
         """
-        return _signs_from_words(self.words(master_seed, indices, size), size).reshape(-1)
+        return _int32_signs(self.words(master_seed, indices, size), size).reshape(-1)
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:

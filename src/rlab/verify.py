@@ -80,9 +80,9 @@ def suite_modular_elo(seed: int = 20240801, max_m: int = 64, lists_per_m: int = 
                                    rep.bound_value)
                 res.cases_run += 1
                 min_slack = min(min_slack, rep.slack)
-                if mx > cos + 1e-10:
+                if mx > cos + bounds.SATISFACTION_TOL:
                     res.failures.append(f"m={m} n={n}: max residue {mx} > cosine {cos}")
-                if cos > closed + 1e-10:
+                if cos > closed + bounds.SATISFACTION_TOL:
                     res.failures.append(f"m={m} n={n}: cosine {cos} > closed form {closed}")
     # equal multipliers maximise the cosine bound over coprime assignments
     for _ in range(maximizer_checks):

@@ -783,6 +783,19 @@ class TestFitAndFormats:
         assert lines[0] == "residue,prob"
         assert len(lines) == 5
 
+    def test_dist_csv_projection(self, tmp_path, capsys):
+        # a 300-step power law: the header, then one line per atom of the
+        # report's support, in its order
+        spec, report = tmp_path / "power.json", tmp_path / "dist.json"
+        spec.write_text(json.dumps({"family": "power", "alpha": 1}))
+        assert run("dist", "--seq", spec, "--n", 300, "--out", report) == 0
+        assert run("dist", "--seq", spec, "--n", 300, "--format", "csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        result = load(report)["result"]
+        assert lines[0] == "value,prob"
+        assert lines[1:] == [f"{v},{p:.12g}" for v, p in zip(result["support"],
+                                                              result["probs"])]
+
     def test_interval_hits_csv_projection(self, tmp_path):
         man = write_manifest(tmp_path, replicates=400, horizon=170,
                              params={"C": 0, "block_ks": [1, 2]})
@@ -807,6 +820,19 @@ class TestVerifyCommand:
         assert run("verify", "--suite", "elo", "--max-n", 10, "--out", out) == 0
         res = load(out)["result"]
         assert res["cases_run"] > 0 and res["failures"] == []
+
+    @pytest.mark.parametrize("argv,cases_run", [
+        (["--suite", "combine_scales", "--cases", 60], 480),
+        (["--suite", "prefix", "--cases", 60], 60),
+        (["--suite", "hoeffding", "--max-n", 8], 240),
+        (["--suite", "local_clt"], 5000),
+        (["--suite", "exponent_fit"], 2),
+    ], ids=["combine_scales", "prefix", "hoeffding", "local_clt", "exponent_fit"])
+    def test_report_counts_the_cases_its_knobs_ask_for(self, tmp_path, argv, cases_run):
+        out = tmp_path / "v.json"
+        assert run("verify", *argv, "--out", out) == 0
+        res = load(out)["result"]
+        assert (res["cases_run"], res["failures"]) == (cases_run, [])
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "local_clt", "--max-n", 100],

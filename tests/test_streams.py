@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rlab.streams import (GENERATOR_VERSION, SubstreamSampler, _int32_signs,
-                          _signs_from_words, rademacher_signs, substream, wilson_interval)
+                          rademacher_signs, substream, wilson_interval)
 
 
 def oracle_signs(rng, size):
@@ -32,7 +32,7 @@ class TestSubstreams:
         sampler = SubstreamSampler()
         want = np.concatenate([rademacher_signs(substream(seed, rep), size) for rep in reps])
         got = sampler.signs(seed, reps, size)
-        assert got.dtype == np.int8
+        assert got.dtype == np.int32
         assert np.array_equal(got, want)
         # rewinding after use still reproduces the streams from the start
         assert np.array_equal(sampler.signs(seed, reps, size), want)
@@ -99,7 +99,7 @@ class TestSignsAgainstOracle:
         want = np.concatenate([oracle_signs(substream(seed, rep), size) for rep in reps])
         assert np.array_equal(SubstreamSampler().signs(seed, reps, size), want)
         got = np.concatenate([rademacher_signs(substream(seed, rep), size) for rep in reps])
-        assert got.dtype == np.int8 and np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
 
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1),
            st.lists(st.integers(1, 200).map(lambda k: 2 * k), min_size=1, max_size=6))
@@ -127,7 +127,7 @@ class TestSignsAgainstOracle:
         want = np.array([[1 if w >> (32 * i + 31) & 1 else -1 for w in row for i in (0, 1)]
                          for row in raw.tolist()])[:, :size]
         for order in ("<u8", ">u8"):
-            assert np.array_equal(_signs_from_words(raw.astype(order), size), want)
+            assert np.array_equal(_int32_signs(raw.astype(order), size), want)
 
 
 def shifted_byte_signs(raw, size):
@@ -163,12 +163,10 @@ class TestSignsAgainstByteShift:
         rng = np.random.default_rng(sum(shape))
         raw = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
         raw = raw.astype(order)
-        before = raw.copy()
         for size in {0, 1, 2 * shape[-1] - 1, 2 * shape[-1]}:
-            got = _signs_from_words(raw, size)
-            assert got.dtype == np.int8 and got.shape == shape[:-1] + (size,)
+            got = _int32_signs(raw.copy(), size)
+            assert got.dtype == np.int32 and got.shape == shape[:-1] + (size,)
             assert np.array_equal(got, shifted_byte_signs(raw, size))
-            assert np.array_equal(raw, before)
             check_int32_signs(raw, size)
 
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
@@ -178,7 +176,7 @@ class TestSignsAgainstByteShift:
         size = min(size, 2 * len(words))
         for order in ("<u8", ">u8"):
             raw = np.array(words, dtype=np.uint64).astype(order)
-            assert np.array_equal(_signs_from_words(raw, size),
+            assert np.array_equal(_int32_signs(raw.copy(), size),
                                   shifted_byte_signs(raw, size))
             check_int32_signs(raw, size)
 

@@ -209,6 +209,28 @@ def test_failing_check_is_described(monkeypatch, name, knobs, per_list):
             assert f"'t': {rep.params['t']}" in text
 
 
+def test_modular_elo_failure_is_described(monkeypatch):
+    # each of the suite's three comparisons fails with its own text
+    monkeypatch.setattr(bounds, "SATISFACTION_TOL", -10.0)
+    res = run_suite("modular_elo", max_m=5, lists_per_m=2, n_values=(10, 30),
+                    maximizer_checks=4)
+    laws = [(m, n) for m in (3, 4, 5) for _ in range(2) for n in (10, 30)]
+    assert res.cases_run == len(laws) + 4 and not res.ok
+    assert len(res.failures) == 2 * len(laws) + 4
+    residue, cosine = res.failures[:-4:2], res.failures[1:-4:2]
+    for (m, n), first, second in zip(laws, residue, cosine):
+        head = f"m={m} n={n}: "
+        assert first.startswith(head + "max residue ") and second.startswith(head + "cosine ")
+        mx, cos = map(float, first.removeprefix(head + "max residue ").split(" > cosine "))
+        again, closed = map(float,
+                            second.removeprefix(head + "cosine ").split(" > closed form "))
+        assert mx <= cos == again <= closed
+    for text in res.failures[-4:]:
+        assert text.startswith("maximizer: m=")
+        val, top = map(float, text.rsplit(": ", 1)[1].split(" > all-ones "))
+        assert val <= top
+
+
 @pytest.mark.parametrize("tol", [bounds.SATISFACTION_TOL, -10.0], ids=["tol", "all_fail"])
 @pytest.mark.parametrize("name", sorted(BY_CASE))
 def test_stacked_suites_equal_case_by_case_over_seeds(monkeypatch, name, tol):
